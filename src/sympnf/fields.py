@@ -19,6 +19,7 @@ from .errors import (
     RationalFieldError,
     ReducibleModulusError,
 )
+from .poly import Poly, is_irreducible, poly_xgcd
 
 __all__ = [
     "RationalField",
@@ -35,11 +36,20 @@ __all__ = [
 
 # --- primality -------------------------------------------------------------
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first thirteen primes.  The first twelve alone are passed by the
+# composite 318665857834031151167461 = 399165290221 * 798330580441.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# The least strong pseudoprime to every base in _MR_BASES
+# (= 1287836182261 * 2575672364521; Sorenson and Webster, 2015).
+_MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for n < 3.3e24."""
+    """Deterministic Miller-Rabin, exact for n < 3317044064679887385961981.
+
+    From that bound on, a composite n can pass every base, so the answer is
+    only probable there.
+    """
     if n < 2:
         return False
     for p in _MR_BASES:
@@ -182,6 +192,10 @@ class PrimeField:
     kind = "prime"
 
     def __init__(self, p: int):
+        if p >= _MR_EXACT_BELOW:
+            raise NonPrimeModulusError(
+                f"characteristic must be below {_MR_EXACT_BELOW}, where primality is exact; got {p}"
+            )
         if p == 2 or not is_prime(p):
             raise NonPrimeModulusError(f"characteristic must be an odd prime, got {p}")
         self.p = p
@@ -207,126 +221,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"GF({self.p})"
-
-
-# --- list-based polynomial kernels over an arbitrary base field ------------
-# Used for extension-field arithmetic and modulus irreducibility; the public
-# polynomial type lives in poly.py and has its own full implementation.
-
-
-def _ptrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
-
-
-def _pdivmod(base, a, b):
-    if not b:
-        raise DivisionByZeroError("polynomial division by zero")
-    a = list(a)
-    q = [base.zero] * max(0, len(a) - len(b) + 1)
-    inv_lc = base.one / b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] * inv_lc
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] = a[i + j] - c * bj
-    return _ptrim(q), _ptrim(a[: len(b) - 1])
-
-
-def _pmulmod(base, a, b, m):
-    prod = [base.zero] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            prod[i + j] = prod[i + j] + ai * bj
-    return _pdivmod(base, _ptrim(prod), m)[1]
-
-
-def _ppowmod(base, a, e, m):
-    result = [base.one]
-    a = _pdivmod(base, list(a), m)[1]
-    while e:
-        if e & 1:
-            result = _pmulmod(base, result, a, m)
-        a = _pmulmod(base, a, a, m)
-        e >>= 1
-    return result
-
-
-def _pgcd(base, a, b):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pdivmod(base, a, b)[1]
-    return a
-
-
-def _pxgcd(base, a, b):
-    a, b = list(a), list(b)
-    s0, s1 = [base.one], []
-    t0, t1 = [], [base.one]
-
-    def sub(u, v):
-        out = list(u) + [base.zero] * (len(v) - len(u))
-        for i, vi in enumerate(v):
-            out[i] = out[i] - vi
-        return _ptrim(out)
-
-    def mul(u, v):
-        if not u or not v:
-            return []
-        out = [base.zero] * (len(u) + len(v) - 1)
-        for i, ui in enumerate(u):
-            if ui:
-                for j, vj in enumerate(v):
-                    out[i + j] = out[i + j] + ui * vj
-        return _ptrim(out)
-
-    while b:
-        q, r = _pdivmod(base, a, b)
-        a, b = b, r
-        s0, s1 = s1, sub(s0, mul(q, s1))
-        t0, t1 = t1, sub(t0, mul(q, t1))
-    return a, s0, t0
-
-
-def _irreducible_over(base, coeffs) -> bool:
-    """Rabin test for a monic polynomial over a finite base field."""
-    n = len(coeffs) - 1
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    q = base.order
-    x = [base.zero, base.one]
-    h = list(x)
-    factors = set()
-    m = n
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            factors.add(d)
-            while m % d == 0:
-                m //= d
-        d += 1
-    if m > 1:
-        factors.add(m)
-    for r in sorted(factors):
-        h2 = list(x)
-        for _ in range(n // r):
-            h2 = _ppowmod(base, h2, q, coeffs)
-        diff = _ptrim([(h2[i] if i < len(h2) else base.zero) - (x[i] if i < len(x) else base.zero)
-                       for i in range(max(len(h2), len(x)))])
-        g = _pgcd(base, list(coeffs), diff)
-        if len(g) - 1 != 0:
-            return False
-    for _ in range(n):
-        h = _ppowmod(base, h, q, coeffs)
-    diff = _ptrim([(h[i] if i < len(h) else base.zero) - (x[i] if i < len(x) else base.zero)
-                   for i in range(max(len(h), len(x)))])
-    return not diff
 
 
 # --- extension fields ------------------------------------------------------
@@ -424,7 +318,7 @@ class ExtensionField:
             raise ReducibleModulusError("extension modulus must have degree >= 2")
         if modulus[-1] != base.one:
             raise ReducibleModulusError("extension modulus must be monic")
-        if check_irreducible and not _irreducible_over(base, list(modulus)):
+        if check_irreducible and not is_irreducible(Poly(base, modulus)):
             raise ReducibleModulusError("extension modulus is reducible over the base field")
         self.base = base
         self.modulus = modulus
@@ -481,13 +375,9 @@ class ExtensionField:
     def _inv(self, a: ExtElement) -> ExtElement:
         if not a:
             raise DivisionByZeroError("inversion of zero in extension field")
-        coeffs = list(a.coeffs)
-        _ptrim(coeffs)
-        g, s, _ = _pxgcd(self.base, coeffs, list(self.modulus))
-        c = g[0]
-        s = [si / c for si in s]
-        s += [self.base.zero] * (self.degree - len(s))
-        return ExtElement(self, tuple(s[: self.degree]))
+        # modulus first: dividing it by a is the first step, not a swap
+        _, _, t = poly_xgcd(Poly(self.base, self.modulus), Poly(self.base, a.coeffs))
+        return ExtElement(self, t.coeffs + (self.base.zero,) * (self.degree - len(t.coeffs)))
 
     def sort_key(self, x: ExtElement):
         return tuple(self.base.sort_key(c) for c in x.coeffs)

@@ -34,6 +34,7 @@ from .linalg import (
     inverse,
     kernel,
     mat_poly_eval,
+    restrict_scalars_kernel,
     solve,
 )
 from .poly import Factorization, Poly, factor, multi_bezout
@@ -79,7 +80,6 @@ class PrimaryComponent:
     factor: Poly
     multiplicity: int
     basis: Subspace
-    restricted: Mat
 
 
 @dataclass(frozen=True)
@@ -120,21 +120,24 @@ class VerificationReport:
 # --- primary decomposition --------------------------------------------------
 
 
-def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
-    """Split the space into invariant symplectic kernels of P_i(a)^{m_i},
-    ordered by the canonical factor key."""
-    from .linalg import restrict_operator
-
+def _resolved_factorization(space: SymplecticSpace, a: Mat, seed: int) -> Factorization:
+    """Factorization of charpoly(a) for a self-adjoint a, with no unresolved part."""
     if not is_self_adjoint(space, a):
         raise NotSelfAdjointError("primary decomposition needs a self-adjoint operator")
     fac = factor(charpoly(a), seed)
     if fac.unresolved:
         raise UnresolvedFactorError("characteristic polynomial has an unresolved irreducible factor")
+    return fac
+
+
+def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
+    """Split the space into invariant symplectic kernels of P_i(a)^{m_i},
+    ordered by the canonical factor key."""
     comps = []
     total = 0
-    for p, m in fac.factors:
+    for p, m in _resolved_factorization(space, a, seed).factors:
         sub = kernel(mat_poly_eval(p ** m, a))
-        comps.append(PrimaryComponent(p, m, sub, restrict_operator(a, sub)))
+        comps.append(PrimaryComponent(p, m, sub))
         total += sub.dim
     if total != space.dim:
         raise InternalDescentFailureError("primary components do not fill the space")
@@ -247,6 +250,13 @@ def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion
     return chains
 
 
+def _eigen_chains(space: SymplecticSpace, a: Mat, lam, m: int) -> list[CyclicPair]:
+    """Cyclic pairs of g = a - lam on ker g^m, the generalized eigenspace of
+    an eigenvalue lam of multiplicity m."""
+    g = a - Mat.identity(space.field, space.dim) * lam
+    return _nilpotent_chains(space, g, kernel(g ** m))
+
+
 # --- block builders ---------------------------------------------------------
 
 
@@ -323,25 +333,17 @@ def split_normal_form(space: SymplecticSpace, a: Mat, roots=None, seed: int = 0)
             prod = prod * (Poly.x(field) - Poly.constant(field, lam)) ** m
         if prod != charpoly(a):
             raise EigenvaluesNotInFieldError("root list does not match the characteristic polynomial")
-    roots = sorted(roots, key=lambda rm: field.sort_key(rm[0]))
-    ident = Mat.identity(field, space.dim)
-    per_eig = []
-    for lam, m in roots:
-        g = a - ident * lam
-        comp = kernel(g ** m)
-        per_eig.append((lam, _nilpotent_chains(space, g, comp)))
-    return _assemble(space, per_eig)
+    return _split_core(space, a, roots)
 
 
-def _splitting_field(field, p: Poly) -> ExtensionField:
-    # p is monic irreducible over a finite field; F_{q^d} = F_q[t]/(p)
-    return ExtensionField(field, p.coeffs, check_irreducible=False)
+def _split_core(space: SymplecticSpace, a: Mat, roots) -> tuple[Mat, Mat, tuple]:
+    """split_normal_form once a is known self-adjoint and roots factor charpoly(a)."""
+    roots = sorted(roots, key=lambda rm: space.field.sort_key(rm[0]))
+    return _assemble(space, [(lam, _eigen_chains(space, a, lam, m)) for lam, m in roots])
 
 
 def _descend_subspace(ext: ExtensionField, sub: Subspace) -> Subspace:
     """Base-field rational points of a Galois-stable extension subspace."""
-    from .linalg import restrict_scalars_kernel
-
     eqns = sub.annihilator_rows()
     down = restrict_scalars_kernel(eqns)
     if down.dim != sub.dim:
@@ -349,58 +351,56 @@ def _descend_subspace(ext: ExtensionField, sub: Subspace) -> Subspace:
     return down
 
 
-def _component_lagrangians(space: SymplecticSpace, a: Mat, comp: PrimaryComponent):
-    """A-invariant lagrangian pair (U, W) inside one primary component."""
+def _component_lagrangians(space: SymplecticSpace, a: Mat, p: Poly, m: int):
+    """A-invariant lagrangian pair (U, W) inside the primary component of the
+    irreducible factor p of multiplicity m in charpoly(a).
+
+    A factor of degree d > 1 splits over F_{q^d}: the chains of one root
+    there and their Frobenius conjugates span (U, W) over the extension,
+    which then descend to the base field.
+    """
     field = space.field
-    p, m = comp.factor, comp.multiplicity
-    ident = Mat.identity(field, space.dim)
-    if p.degree == 1:
-        lam = -p.coeffs[0]
-        chains = _nilpotent_chains(space, a - ident * lam, comp.basis)
-        u_vecs = [v for pair in chains for v in pair.u_chain]
-        w_vecs = [v for pair in chains for v in pair.w_chain]
-        return (
-            Subspace.from_vectors(field, space.dim, u_vecs),
-            Subspace.from_vectors(field, space.dim, w_vecs),
-        )
-    if m % 2 != 0:
-        raise InternalDescentFailureError("odd factor multiplicity in a symplectic component")
-    ext = _splitting_field(field, p)
-    q = field.order
     d = p.degree
-    space_e = SymplecticSpace(ext, space.n)
-    a_e = extend_scalars(a, ext)
-    ident_e = Mat.identity(ext, space.dim)
-    g1 = a_e - ident_e * ext.gen
-    comp1 = kernel(g1 ** m)
-    if comp1.dim != m:
-        raise InternalDescentFailureError("extension eigencomponent has the wrong dimension")
-    chains = _nilpotent_chains(space_e, g1, comp1)
-    u_vecs = [v for pair in chains for v in pair.u_chain]
-    w_vecs = [v for pair in chains for v in pair.w_chain]
-    all_u, all_w = list(u_vecs), list(w_vecs)
-    for j in range(1, d):
-        all_u.extend(tuple(frobenius(x, j, q) for x in v) for v in u_vecs)
-        all_w.extend(tuple(frobenius(x, j, q) for x in v) for v in w_vecs)
-    u_ext = Subspace.from_vectors(ext, space.dim, all_u)
-    w_ext = Subspace.from_vectors(ext, space.dim, all_w)
-    half = m * d // 2
-    if u_ext.dim != half or w_ext.dim != half:
-        raise InternalDescentFailureError("transported lagrangian spans have the wrong dimension")
-    return _descend_subspace(ext, u_ext), _descend_subspace(ext, w_ext)
+    if d == 1:
+        ext = field
+        chains = _eigen_chains(space, a, -p.coeffs[0], m)
+    else:
+        if m % 2 != 0:
+            raise InternalDescentFailureError("odd factor multiplicity in a symplectic component")
+        # F_{q^d} = F_q[t]/(p); p is a factor from factor(), so irreducible
+        ext = ExtensionField(field, p.coeffs, check_irreducible=False)
+        chains = _eigen_chains(SymplecticSpace(ext, space.n), extend_scalars(a, ext), ext.gen, m)
+        if 2 * sum(pair.d for pair in chains) != m:
+            raise InternalDescentFailureError("extension eigencomponent has the wrong dimension")
+    q = field.order
+    pair_spans = []
+    for vecs in (
+        [v for pair in chains for v in pair.u_chain],
+        [v for pair in chains for v in pair.w_chain],
+    ):
+        vecs += [tuple(frobenius(x, j, q) for x in v) for j in range(1, d) for v in vecs]
+        span = Subspace.from_vectors(ext, space.dim, vecs)
+        if span.dim != m * d // 2:
+            raise InternalDescentFailureError("transported lagrangian spans have the wrong dimension")
+        pair_spans.append(span if d == 1 else _descend_subspace(ext, span))
+    return tuple(pair_spans)
 
 
 def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[Mat, Mat]:
     """Galois-descent case over a finite field; B carries no canonical-form
     claim beyond C^-1 A C = diag(B, B^T)."""
-    field = space.field
-    if field.kind == "rational":
+    if space.field.kind == "rational":
         raise NotFiniteFieldError("descent requires a finite base field")
-    comps = primary_decomposition(space, a, seed)
+    return _descent_core(space, a, _resolved_factorization(space, a, seed))
+
+
+def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[Mat, Mat]:
+    """descent_normal_form once a is known self-adjoint and fac factors charpoly(a)."""
+    field = space.field
     u_total = Subspace.zero(field, space.dim)
     w_total = Subspace.zero(field, space.dim)
-    for comp in comps:
-        u_i, w_i = _component_lagrangians(space, a, comp)
+    for p, m in fac.factors:
+        u_i, w_i = _component_lagrangians(space, a, p, m)
         u_total = u_total.sum(u_i)
         w_total = w_total.sum(w_i)
     c = darboux_from_lagrangian_pair(space, a, u_total, w_total)
@@ -425,14 +425,14 @@ def symplectic_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> Nor
     all_linear = not fac.unresolved and all(p.degree == 1 for p, _ in fac.factors)
     if all_linear:
         roots = [(-p.coeffs[0], m) for p, m in fac.factors]
-        c, b, spec = split_normal_form(space, a, roots)
+        c, b, spec = _split_core(space, a, roots)
         cert = NormalFormCertificate(space, a, c, b, "jordan", spec)
     elif field.kind == "rational":
         raise UnsupportedFieldPathError(
             "rational input with a nonlinear irreducible factor is out of scope"
         )
     else:
-        c, b = descent_normal_form(space, a, seed)
+        c, b = _descent_core(space, a, fac)
         cert = NormalFormCertificate(space, a, c, b, "descent", None)
     report = verify_certificate(cert)
     if not report.ok:

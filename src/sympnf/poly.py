@@ -19,7 +19,6 @@ from .errors import (
     MixedFieldsError,
     NotCoprimeError,
 )
-from .fields import pth_root
 
 __all__ = [
     "Poly",
@@ -232,8 +231,8 @@ def poly_xgcd(a: Poly, b: Poly):
         t0, t1 = t1, t0 - q * t1
     if r0.is_zero():
         return r0, s0, t0
-    inv = Poly.constant(field, field.one / r0.lc())
-    return r0.monic(), s0 * inv, t0 * inv
+    inv = field.one / r0.lc()
+    return r0 * inv, s0 * inv, t0 * inv
 
 
 def multi_bezout(rs: list[Poly]) -> list[Poly]:
@@ -266,12 +265,11 @@ def multi_bezout(rs: list[Poly]) -> list[Poly]:
 
 
 def _poly_pth_root(f: Poly) -> Poly:
-    """For f = h(t)^p in characteristic p, return h (perfect base field)."""
+    """For f = h(t)^p over a finite field of order q = p^k, return h; the
+    p-th root of a coefficient y is y^(q/p)."""
     p = f.field.char
-    if f.field.kind == "prime":
-        # Frobenius is the identity on F_p
-        return Poly(f.field, [f[i * p] for i in range(f.degree // p + 1)])
-    return Poly(f.field, [pth_root(f[i * p]) for i in range(f.degree // p + 1)])
+    e = f.field.order // p
+    return Poly(f.field, [f[i * p] ** e for i in range(f.degree // p + 1)])
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:

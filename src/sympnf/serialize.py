@@ -78,6 +78,16 @@ def decode_matrix(field, rows) -> Mat:
     return Mat(field, [[decode_scalar(field, x) for x in r] for r in rows])
 
 
+def _decode_shaped(field, rows, nrows: int, ncols: int, name: str) -> Mat:
+    """decode_matrix, rejecting any shape but nrows x ncols; Mat does not
+    check that its rows have equal length."""
+    if not isinstance(rows, list) or len(rows) != nrows or any(
+        not isinstance(r, list) or len(r) != ncols for r in rows
+    ):
+        raise InstanceParseError(f"{name} must be {nrows} x {ncols}")
+    return decode_matrix(field, rows)
+
+
 # --- field descriptors ------------------------------------------------------
 
 
@@ -133,9 +143,9 @@ def instance_from_json(obj) -> tuple[SymplecticSpace, Mat]:
         raise InstanceParseError("malformed instance file") from exc
     if n < 1:
         raise InstanceParseError("n must be positive")
-    if len(rows) != 2 * n or any(len(r) != 2 * n for r in rows):
-        raise InstanceParseError("matrix must be 2n x 2n")
-    return SymplecticSpace(field, n), decode_matrix(field, rows)
+    # the shape check comes first: it bounds n by the size of the input
+    a = _decode_shaped(field, rows, 2 * n, 2 * n, "matrix")
+    return SymplecticSpace(field, n), a
 
 
 # --- certificates -----------------------------------------------------------
@@ -165,24 +175,21 @@ def certificate_from_json(obj) -> NormalFormCertificate:
     try:
         field = field_from_json(obj["field"])
         n = int(obj["n"])
+        a = _decode_shaped(field, obj["A"], 2 * n, 2 * n, "A")
+        c = _decode_shaped(field, obj["C"], 2 * n, 2 * n, "C")
+        b = _decode_shaped(field, obj["B"], n, n, "B")
         space = SymplecticSpace(field, n)
-        a = decode_matrix(field, obj["A"])
-        c = decode_matrix(field, obj["C"])
-        b = decode_matrix(field, obj["B"])
         case = obj["case"]
-        raw_spec = obj.get("jordan_spec")
+        spec = obj.get("jordan_spec")
+        if spec is not None:
+            spec = tuple(
+                (decode_scalar(field, e["eigenvalue"]), tuple(int(s) for s in e["sizes"]))
+                for e in spec
+            )
     except InstanceParseError:
         raise
     except Exception as exc:
         raise InstanceParseError("malformed certificate file") from exc
     if case not in ("jordan", "descent"):
         raise InstanceParseError(f"unknown case tag {case!r}")
-    spec = None
-    if raw_spec is not None:
-        spec = tuple(
-            (decode_scalar(field, e["eigenvalue"]), tuple(int(s) for s in e["sizes"]))
-            for e in raw_spec
-        )
-    if a.nrows != 2 * n or a.ncols != 2 * n or c.nrows != 2 * n or b.nrows != n:
-        raise InstanceParseError("certificate matrices have inconsistent shapes")
     return NormalFormCertificate(space, a, c, b, case, spec, obj.get("checks"))

@@ -5,6 +5,7 @@ instances is built once and the resulting certificates are cached, so the
 criteria exercise the same population from several angles.
 """
 
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -168,6 +169,18 @@ def test_acceptance_1_roundtrip_suite(capsys):
             f"\nACCEPTANCE 1 (roundtrip suite): PASS — {len(CORPUS)} instances "
             f"({jordan} jordan, {descent} descent) in {elapsed:.1f}s"
         )
+
+
+# Canonical certificate text of the whole corpus, in corpus order.  A change
+# to this digest changes some certificate; it needs a stated reason.
+CORPUS_DIGEST = "1791f614aaf3273248009b0ac6784e741c08387c45ef614878b1fcc381b84f55"
+
+
+def test_corpus_certificates_are_byte_identical():
+    h = hashlib.sha256()
+    for idx in range(len(CORPUS)):
+        h.update(dumps_canonical(certificate_to_json(_cert(idx))).encode("utf-8"))
+    assert h.hexdigest() == CORPUS_DIGEST
 
 
 # --- criterion 2: projection identities -------------------------------------

@@ -178,6 +178,15 @@ class TestCliExitCodes:
         path = _instance_file(tmp_path, "a.json", sp, Mat.from_ints(F5, [[1, 2], [3, 4]]))
         assert main(["normal-form", path]) == EXIT_PREDICATE_FALSE
 
+    def test_parse_error_on_matrix_row_that_is_not_a_list(self, tmp_path):
+        text = '{"field": {"kind": "prime", "p": "5"}, "n": 1, "matrix": [1, 2]}'
+        assert main(["check", _write(tmp_path, "a.json", text)]) == EXIT_PARSE
+
+    def test_parse_error_on_characteristic_beyond_exact_primality(self):
+        # a strong pseudoprime to every Miller-Rabin base the library uses
+        flag = "prime:3317044064679887385961981"
+        assert main(["random", "--field", flag, "--spec", "1:[1]"]) == EXIT_PARSE
+
 
 class TestCliPipeline:
     def _roundtrip(self, tmp_path, capsys, field_flag, spec, seed=1):
@@ -211,6 +220,24 @@ class TestCliPipeline:
         bad = _write(tmp_path, "bad.json", dumps_canonical(data))
         assert main(["verify", bad]) == EXIT_PREDICATE_FALSE
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d["C"][1].append("0"),
+            lambda d: d["B"][0].append("0"),
+            lambda d: d["jordan_spec"][0].pop("sizes"),
+            lambda d: d.update(jordan_spec=5),
+            lambda d: d.update(n="1000000000"),
+        ],
+        ids=["ragged-C", "ragged-B", "spec-without-sizes", "spec-not-a-list", "huge-n"],
+    )
+    def test_malformed_certificate_is_a_parse_error(self, tmp_path, capsys, mutate):
+        _, cert, _ = self._roundtrip(tmp_path, capsys, "prime:5", "2:[1];1:[1]")
+        data = json.loads(open(cert, encoding="utf-8").read())
+        mutate(data)
+        bad = _write(tmp_path, "bad.json", dumps_canonical(data))
+        assert main(["verify", bad]) == EXIT_PARSE
 
     def test_spec_dimension_flag_mismatch(self, tmp_path):
         assert main(["random", "--field", "prime:5", "--spec", "1:[2]", "--n", "3"]) == EXIT_PARSE

@@ -39,6 +39,16 @@ class TestConstruction:
     def test_composite_rejected(self):
         with pytest.raises(NonPrimeModulusError):
             make_field("prime", p=9)
+        # strong pseudoprimes to the first twelve and first thirteen prime bases
+        for p, q in ((399165290221, 798330580441), (1287836182261, 2575672364521)):
+            with pytest.raises(NonPrimeModulusError):
+                PrimeField(p * q)
+
+    def test_characteristic_beyond_exact_primality_rejected(self):
+        # 2^89 - 1 is prime, but above the bound where is_prime is exact
+        assert PrimeField(2**61 - 1).order == 2**61 - 1
+        with pytest.raises(NonPrimeModulusError):
+            PrimeField(2**89 - 1)
 
     def test_extension_context(self):
         # oracle: x^2+1 has no root mod 3, checked exhaustively

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import sympnf.normalform as nf
 from sympnf.errors import (
     EigenvaluesNotInFieldError,
     InvalidCertificateError,
@@ -12,7 +13,7 @@ from sympnf.errors import (
     UnsupportedFieldPathError,
 )
 from sympnf.fields import PrimeField, QQ, make_field
-from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, rank
+from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, rank, restrict_operator
 from sympnf.normalform import (
     NormalFormCertificate,
     build_block_matrix,
@@ -115,7 +116,7 @@ class TestPrimaryDecomposition:
             comps = primary_decomposition(sp, a, seed=trial)
             assert sum(c.basis.dim for c in comps) == sp.dim
             for i, ci in enumerate(comps):
-                assert charpoly(ci.restricted) == ci.factor ** ci.multiplicity
+                assert charpoly(restrict_operator(a, ci.basis)) == ci.factor ** ci.multiplicity
                 for cj in comps[i + 1 :]:
                     for x in ci.basis.basis:
                         for y in cj.basis.basis:
@@ -397,6 +398,28 @@ class TestOrchestration:
         a = _scrambled(sp, rng, [("jordan", F5.from_int(2), (2,))])
         cert = symplectic_normal_form(sp, a)
         assert cert.case == "jordan"
+
+    @pytest.mark.parametrize(
+        "spec,case",
+        [
+            ([("jordan", F5.from_int(2), (2,)), ("jordan", F5.one, (1,))], "jordan"),
+            ([("companion", Poly.from_ints(F5, [2, 0, 1]), (1,)), ("jordan", F5.one, (1,))], "descent"),
+        ],
+        ids=["jordan", "descent"],
+    )
+    def test_validates_and_factors_once(self, monkeypatch, spec, case):
+        a = _scrambled(SymplecticSpace(F5, 3), random.Random(283), spec)
+        calls = {"factor": 0, "charpoly": 0, "is_self_adjoint": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(nf, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(nf, name, counted)
+        cert = symplectic_normal_form(SymplecticSpace(F5, 3), a)
+        assert cert.case == case
+        # the pipeline runs charpoly once; the verifier runs it on A and on B
+        assert calls == {"factor": 1, "charpoly": 3, "is_self_adjoint": 1}
 
 
 class TestVerifier:
