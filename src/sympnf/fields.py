@@ -6,11 +6,20 @@ splitting field of a polynomial over F_{p^k} is again an ExtensionField.
 Rational scalars are plain ``fractions.Fraction`` values; finite-field
 scalars are immutable wrapper objects carrying their field context.  All
 values are canonical at construction, so equality is structural.
+
+Each field also has ``ops``: the raw values the linear-algebra kernels
+compute on, the codec between them and the elements, and the few scalar and
+row primitives those kernels are written in.  F_p values are residues in
+[0, p); extension fields of order <= ZECH_MAX_ORDER use Zech logarithms;
+the rationals and larger extensions use the elements themselves.
 """
 
 from __future__ import annotations
 
+import functools
+from array import array
 from fractions import Fraction
+from operator import attrgetter, mul
 
 from .errors import (
     DivisionByZeroError,
@@ -72,6 +81,304 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# --- raw values ------------------------------------------------------------
+#
+# What every ``ops`` guarantees: the raw zero is the only falsy raw value, so
+# ``not v`` is the zero test; two raw values are equal exactly when their
+# elements are; ``scale(c, xs)`` is c*xs, ``axpy(c, xs, ys)`` is c*xs + ys and
+# ``dot(xs, ys)`` the inner product, on equal-length sequences.
+
+ZECH_MAX_ORDER = 1 << 16
+
+
+class _Interned(dict):
+    """raw value -> element, each element built once, on first use."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, v):
+        x = self[v] = self.make(v)
+        return x
+
+
+class _Ops:
+    def encode_rows(self, rows):
+        enc = self.encode
+        return tuple(tuple(map(enc, r)) for r in rows)
+
+    def decode_rows(self, raw):
+        dec = self.decode
+        return tuple(tuple(map(dec, r)) for r in raw)
+
+
+class ObjectOps(_Ops):
+    """Raw values are the elements themselves: the rationals, and extension
+    fields above ZECH_MAX_ORDER."""
+
+    def __init__(self, field):
+        self.field = field
+        self.zero = field.zero
+        self.one = field.one
+
+    def encode(self, x):
+        return x
+
+    decode = encode
+
+    def encode_rows(self, rows):
+        return rows
+
+    decode_rows = encode_rows
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def inv(self, a):
+        return self.one / a
+
+    def scale(self, c, xs):
+        return [x * c for x in xs]
+
+    def axpy(self, c, xs, ys):
+        return [c * x + y if x else y for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys):
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = acc + x * y
+        return acc
+
+
+class _ExtObjectOps(ObjectOps):
+    """ObjectOps of an extension field, with its base-field conversions."""
+
+    def embed(self, b):
+        """Raw value of the base-field raw value b."""
+        return self.field.embed(self.field.base.ops.decode(b))
+
+    def coeffs(self, v):
+        """Base-field raw coefficients of the raw value v."""
+        return tuple(map(self.field.base.ops.encode, v.coeffs))
+
+
+class ResidueOps(_Ops):
+    """F_p: raw values are the residues in [0, p)."""
+
+    zero = 0
+    one = 1
+    encode = staticmethod(attrgetter("value"))
+
+    def __init__(self, field):
+        self.field = field
+        self.p = field.p
+        if field.p <= ZECH_MAX_ORDER:
+            self.decode = _Interned(functools.partial(FpElement, field)).__getitem__
+        else:
+            self.decode = functools.partial(FpElement, field)
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def scale(self, c, xs):
+        p = self.p
+        return [x * c % p for x in xs]
+
+    def axpy(self, c, xs, ys):
+        p = self.p
+        return [(c * x + y) % p for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys):
+        return sum(map(mul, xs, ys)) % self.p
+
+
+class ZechOps(_Ops):
+    """Extension field of order q <= ZECH_MAX_ORDER, in Zech logarithms.
+
+    For a fixed primitive element g, the nonzero element g^k has raw value
+    k + 1 and zero has raw value 0.  A product adds logarithms; a sum is
+    g^a + g^b = g^b (1 + g^(a-b)), one lookup in the table of 1 + g^d; an
+    inverse negates the logarithm.
+    """
+
+    zero = 0
+    one = 1
+
+    def __init__(self, field):
+        base = field.base
+        self.field = field
+        self.base_ops = base.ops
+        self.m = field.order - 1
+        self.exp, self.log, self.zech, self.mn = _zech_tables(base, field.modulus)
+        self.base_order = base.order
+        self.weights = tuple(base.order ** i for i in range(field.degree))
+        self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
+        self.decode = _Interned(self._element).__getitem__
+
+    def encode(self, x):
+        enc = self.base_ops.encode
+        return self.log[sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)])]
+
+    def _element(self, v):
+        return ExtElement(self.field, tuple(map(self.base_ops.decode, self.coeffs(v))))
+
+    def coeffs(self, v):
+        """Base-field raw coefficients of the raw value v."""
+        code = self.exp[v - 1] if v else 0
+        q = self.base_order
+        return tuple(code // w % q for w in self.weights)
+
+    def embed(self, b):
+        """Raw value of the base-field raw value b."""
+        return self.log[b]
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        z = self.zech[a - b]
+        return self.mn[b + z] if z else 0
+
+    def neg(self, a):
+        return self.mn[a + self.minus_one] if a else 0
+
+    def mul(self, a, b):
+        return self.mn[a + b] if a and b else 0
+
+    def inv(self, a):
+        return self.m + 2 - a if a > 1 else 1
+
+    def scale(self, c, xs):
+        if not c:
+            return [0] * len(xs)
+        mn = self.mn
+        return [mn[x + c] if x else 0 for x in xs]
+
+    def axpy(self, c, xs, ys):
+        if not c:
+            return list(ys)
+        mn, zech = self.mn, self.zech
+        out = []
+        for x, y in zip(xs, ys):
+            if x:
+                x = mn[x + c]
+                if y:
+                    z = zech[x - y]
+                    y = mn[y + z] if z else 0
+                else:
+                    y = x
+            out.append(y)
+        return out
+
+    def dot(self, xs, ys):
+        mn, zech = self.mn, self.zech
+        acc = 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                x = mn[x + y]
+                if acc:
+                    z = zech[x - acc]
+                    acc = mn[acc + z] if z else 0
+                else:
+                    acc = x
+        return acc
+
+
+def _reduced_powers(bops, low):
+    """x^k .. x^(2k-2) modulo the monic x^k + low[k-1] x^(k-1) + ... + low[0],
+    as base-field raw coefficient lists."""
+    k = len(low)
+    xk = [bops.neg(c) for c in low]
+    pows = [xk]
+    for _ in range(k - 2):
+        prev = pows[-1]
+        pows.append(bops.axpy(prev[-1], xk, [bops.zero] + prev[:-1]))
+    return pows
+
+
+def _mulmod(bops, xk_pows, a, b):
+    """Schoolbook product of two coefficient tuples of base-field raw values,
+    reduced with the powers from _reduced_powers."""
+    k = len(a)
+    prod = [bops.zero] * (2 * k - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            prod[i : i + k] = bops.axpy(ai, b, prod[i : i + k])
+    out = prod[:k]
+    for c, red in zip(prod[k:], xk_pows):
+        if c:
+            out = bops.axpy(c, red, out)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=4)
+def _zech_tables(base, modulus):
+    """(exp, log, zech, mn) of base[x]/(modulus), of order q = Q^k <= ZECH_MAX_ORDER.
+
+    An element is coded as sum(c_i Q^i) over its base-field raw coefficients
+    c_i in [0, Q).  exp[k] is the code of g^k; log[code] the raw value; zech[d]
+    the raw value of 1 + g^d (a negative d reads as d + q - 1); mn[a + b] the
+    raw value of the product of the nonzero raw values a and b.  g is the
+    first primitive element in code order, so raw values depend only on
+    (base, modulus) and compare equal across equal field objects.
+    """
+    bops = base.ops
+    k = len(modulus) - 1
+    q0 = base.order
+    m = q0 ** k - 1
+    weights = [q0 ** i for i in range(k)]
+    xk_pows = _reduced_powers(bops, [bops.encode(c) for c in modulus[:k]])
+    one = (bops.one,) + (bops.zero,) * (k - 1)
+
+    def power(a, e):
+        result = one
+        while e:
+            if e & 1:
+                result = _mulmod(bops, xk_pows, result, a)
+            a = _mulmod(bops, xk_pows, a, a)
+            e >>= 1
+        return result
+
+    primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
+    # codes below q0 are base-field constants, of order dividing q0 - 1 < m
+    for code in range(q0, m + 1):
+        g = tuple(code // w % q0 for w in weights)
+        if all(power(g, m // r) != one for r in primes):
+            break
+    # multiplication by g as a k x k matrix over the base field
+    by_g = list(zip(*(_mulmod(bops, xk_pows, one[-j:] + one[:-j], g) for j in range(k))))
+    exp = array("H", bytes(2 * m))
+    dot = bops.dot
+    x = one
+    for i in range(m):
+        exp[i] = sum(map(mul, x, weights))
+        x = tuple([dot(r, x) for r in by_g])
+    log = array("H", bytes(2 * (m + 1)))
+    for i, code in enumerate(exp):
+        log[code] = i + 1
+    # adding 1 changes the constant coefficient c0 = code % q0 only
+    succ = [bops.add(c0, bops.one) - c0 for c0 in range(q0)]
+    zech = array("H", (log[code + succ[code % q0]] for code in exp))
+    mn = array("H", [0, 0])  # mn[s] = (s - 2) % m + 1 for s = 2 .. 2m
+    mn.extend(range(1, m + 1))
+    mn.extend(range(1, m))
+    return exp, log, zech, mn
+
+
 # --- rationals -------------------------------------------------------------
 
 
@@ -110,6 +417,7 @@ class RationalField:
 
 
 QQ = RationalField()
+RationalField.ops = ObjectOps(QQ)
 
 
 # --- prime fields ----------------------------------------------------------
@@ -203,6 +511,7 @@ class PrimeField:
         self.order = p
         self.zero = FpElement(self, 0)
         self.one = FpElement(self, 1)
+        self.ops = ResidueOps(self)
 
     def from_int(self, m: int) -> FpElement:
         return FpElement(self, m % self.p)
@@ -325,15 +634,7 @@ class ExtensionField:
         self.degree = k
         self.char = base.char
         self.order = base.order ** k
-        # x^k .. x^(2k-2) reduced mod m, for schoolbook reduction
-        xk = tuple(-c for c in modulus[:k])
-        pows = [xk]
-        for _ in range(k - 2):
-            prev = pows[-1]
-            shifted = [base.zero] + list(prev[: k - 1])
-            top = prev[k - 1]
-            pows.append(tuple(s + top * x for s, x in zip(shifted, xk)))
-        self._xk_pows = pows
+        self._ops = None
         self.zero = ExtElement(self, (base.zero,) * k)
         self.one = ExtElement(self, (base.one,) + (base.zero,) * (k - 1))
         self.gen = ExtElement(self, (base.zero, base.one) + (base.zero,) * (k - 2))
@@ -354,27 +655,37 @@ class ExtensionField:
             raise MixedFieldsError("element does not lie in the base field")
         return x.coeffs[0]
 
+    @property
+    def ops(self):
+        if self._ops is None:
+            self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else _ExtObjectOps(self)
+        return self._ops
+
+    @functools.cached_property
+    def _xk_pows(self):
+        bops = self.base.ops
+        return _reduced_powers(bops, [bops.encode(c) for c in self.modulus[: self.degree]])
+
+    def _schoolbook(self, a: ExtElement, b: ExtElement) -> ExtElement:
+        """The product by polynomial multiplication and reduction; the Zech
+        tables are tested against it."""
+        bops = self.base.ops
+        enc = bops.encode
+        prod = _mulmod(bops, self._xk_pows, tuple(map(enc, a.coeffs)), tuple(map(enc, b.coeffs)))
+        return ExtElement(self, tuple(map(bops.decode, prod)))
+
     def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        k = self.degree
-        base = self.base
-        prod = [base.zero] * (2 * k - 1)
-        for i, ai in enumerate(a.coeffs):
-            if not ai:
-                continue
-            for j, bj in enumerate(b.coeffs):
-                prod[i + j] = prod[i + j] + ai * bj
-        out = prod[:k]
-        for idx in range(k, 2 * k - 1):
-            c = prod[idx]
-            if c:
-                red = self._xk_pows[idx - k]
-                for j in range(k):
-                    out[j] = out[j] + c * red[j]
-        return ExtElement(self, tuple(out))
+        if self.order > ZECH_MAX_ORDER:
+            return self._schoolbook(a, b)
+        ops = self.ops
+        return ops.decode(ops.mul(ops.encode(a), ops.encode(b)))
 
     def _inv(self, a: ExtElement) -> ExtElement:
         if not a:
             raise DivisionByZeroError("inversion of zero in extension field")
+        if self.order <= ZECH_MAX_ORDER:
+            ops = self.ops
+            return ops.decode(ops.inv(ops.encode(a)))
         # modulus first: dividing it by a is the first step, not a swap
         _, _, t = poly_xgcd(Poly(self.base, self.modulus), Poly(self.base, a.coeffs))
         return ExtElement(self, t.coeffs + (self.base.zero,) * (self.degree - len(t.coeffs)))

@@ -5,11 +5,19 @@ extension / restriction used by Galois descent.
 Matrices are immutable row-major tuples over a single field context.
 Subspaces are always stored with a reduced-row-echelon basis, so subspace
 equality is tuple equality and every downstream basis choice is canonical.
+
+The kernels compute on the field's raw values (``field.ops``: residues for
+F_p, Zech logarithms for small extension fields, the elements themselves
+otherwise).  ``Mat.rows`` and ``Subspace.basis`` hold field elements, built
+from the raw values on first read; matrices and subspaces built from
+elements are encoded on first use by a kernel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
@@ -20,7 +28,7 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .fields import ExtensionField
+from .fields import QQ, ExtensionField
 from .poly import Poly
 
 __all__ = [
@@ -39,26 +47,61 @@ __all__ = [
 ]
 
 
-class Mat:
-    """Immutable dense matrix over one field."""
+def _identity_raw(ops, n):
+    z, o = ops.zero, ops.one
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
-    __slots__ = ("field", "rows")
+
+def _scalar_raw(field, x):
+    """Raw value of a scalar operand, lifting ints like the element types do."""
+    if isinstance(x, int):
+        x = field.from_int(x)
+    elif getattr(x, "field", QQ if isinstance(x, Fraction) else None) != field:
+        raise MixedFieldsError(f"cannot scale a matrix over {field!r} by {x!r}")
+    return field.ops.encode(x)
+
+
+class Mat:
+    """Immutable dense matrix over one field, held as raw values, as
+    elements, or both (each made from the other on first read)."""
+
+    __slots__ = ("field", "_rows", "_raw")
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = tuple(tuple(r) for r in rows)
+        self._rows = tuple(tuple(r) for r in rows)
+        self._raw = None
+
+    @classmethod
+    def from_raw(cls, field, raw):
+        """Matrix of a tuple of tuples of raw values of field.ops."""
+        m = cls.__new__(cls)
+        m.field = field
+        m._rows = None
+        m._raw = raw
+        return m
+
+    @property
+    def rows(self):
+        if self._rows is None:
+            self._rows = self.field.ops.decode_rows(self._raw)
+        return self._rows
+
+    @property
+    def raw(self):
+        if self._raw is None:
+            self._raw = self.field.ops.encode_rows(self._rows)
+        return self._raw
 
     # -- constructors
 
     @classmethod
     def identity(cls, field, n):
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.from_raw(field, _identity_raw(field.ops, n))
 
     @classmethod
     def zeros(cls, field, r, c):
-        z = field.zero
-        return cls(field, [[z] * c for _ in range(r)])
+        return cls.from_raw(field, ((field.ops.zero,) * c,) * r)
 
     @classmethod
     def from_ints(cls, field, rows):
@@ -66,16 +109,15 @@ class Mat:
 
     @classmethod
     def block_diag(cls, field, blocks):
-        n = sum(b.nrows for b in blocks)
         m = sum(b.ncols for b in blocks)
-        out = [[field.zero] * m for _ in range(n)]
-        i = j = 0
+        z = field.ops.zero
+        out = []
+        j = 0
         for b in blocks:
-            for r in range(b.nrows):
-                out[i + r][j : j + b.ncols] = b.rows[r]
-            i += b.nrows
+            left, right = (z,) * j, (z,) * (m - j - b.ncols)
+            out.extend(left + r + right for r in b.raw)
             j += b.ncols
-        return cls(field, out)
+        return cls.from_raw(field, tuple(out))
 
     @classmethod
     def from_columns(cls, field, cols):
@@ -85,11 +127,12 @@ class Mat:
 
     @property
     def nrows(self):
-        return len(self.rows)
+        return len(self._rows if self._raw is None else self._raw)
 
     @property
     def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
+        rows = self._rows if self._raw is None else self._raw
+        return len(rows[0]) if rows else 0
 
     def row(self, i):
         return self.rows[i]
@@ -98,10 +141,10 @@ class Mat:
         return tuple(r[j] for r in self.rows)
 
     def transpose(self):
-        return Mat(self.field, zip(*self.rows)) if self.rows else self
+        return Mat.from_raw(self.field, tuple(zip(*self.raw))) if self.nrows else self
 
     def submatrix(self, r0, r1, c0, c1):
-        return Mat(self.field, [r[c0:c1] for r in self.rows[r0:r1]])
+        return Mat.from_raw(self.field, tuple(r[c0:c1] for r in self.raw[r0:r1]))
 
     def _check(self, other):
         if not isinstance(other, Mat):
@@ -112,37 +155,44 @@ class Mat:
 
     # -- arithmetic
 
+    def _combine(self, c, other):
+        """self + c * other for the raw scalar c."""
+        axpy = self.field.ops.axpy
+        return Mat.from_raw(self.field, tuple(tuple(axpy(c, rb, ra)) for ra, rb in zip(self.raw, other.raw)))
+
     def __add__(self, other):
-        o = self._check(other)
-        return Mat(self.field, [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)])
+        return self._combine(self.field.ops.one, self._check(other))
 
     def __sub__(self, other):
-        o = self._check(other)
-        return Mat(self.field, [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, o.rows)])
+        ops = self.field.ops
+        return self._combine(ops.neg(ops.one), self._check(other))
 
     def __neg__(self):
-        return Mat(self.field, [[-a for a in r] for r in self.rows])
+        ops = self.field.ops
+        c = ops.neg(ops.one)
+        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
 
     def __mul__(self, other):
+        ops = self.field.ops
         if isinstance(other, Mat):
             o = self._check(other)
             if self.ncols != o.nrows:
                 raise DimensionMismatchError("matrix product shape mismatch")
-            cols = o.transpose().rows
-            zero = self.field.zero
-            return Mat(
-                self.field,
-                [[_dot(r, c, zero) for c in cols] for r in self.rows],
-            )
-        return Mat(self.field, [[a * other for a in r] for r in self.rows])
+            dot = ops.dot
+            cols = tuple(zip(*o.raw))
+            return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw))
+        c = _scalar_raw(self.field, other)
+        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
 
     __rmul__ = __mul__
 
     def matvec(self, v):
         if len(v) != self.ncols:
             raise DimensionMismatchError("matvec shape mismatch")
-        zero = self.field.zero
-        return tuple(_dot(r, v, zero) for r in self.rows)
+        ops = self.field.ops
+        x = tuple(map(ops.encode, v))
+        dot = ops.dot
+        return tuple(ops.decode(dot(r, x)) for r in self.raw)
 
     def __pow__(self, e: int):
         if self.nrows != self.ncols:
@@ -157,97 +207,112 @@ class Mat:
         return result
 
     def is_zero(self):
-        return all(not a for r in self.rows for a in r)
+        return not any(any(r) for r in self.raw)
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self.raw == other.raw
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.raw)
 
     def __repr__(self):
         return "Mat(" + "; ".join(" ".join(repr(a) for a in r) for r in self.rows) + ")"
 
 
-def _dot(a, b, zero):
-    acc = zero
-    for x, y in zip(a, b):
-        if x and y:
-            acc = acc + x * y
-    return acc
-
-
 # --- row reduction ---------------------------------------------------------
+
+
+def _reduce(ops, rows, width):
+    """Bring the list of raw rows to reduced row echelon form in place, with
+    pivots only in the first ``width`` columns; return the pivot columns.
+
+    Exact arithmetic: the pivot is simply the first nonzero entry in scan
+    order, no magnitude strategy is needed.
+    """
+    n = len(rows)
+    scale, axpy, neg, inv = ops.scale, ops.axpy, ops.neg, ops.inv
+    pivots = []
+    rank = 0
+    for col in range(width):
+        for piv in range(rank, n):
+            if rows[piv][col]:
+                break
+        else:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        prow = rows[rank] = scale(inv(rows[rank][col]), rows[rank])
+        for i in range(n):
+            c = rows[i][col]
+            if c and i != rank:
+                rows[i] = axpy(neg(c), prow, rows[i])
+        pivots.append(col)
+        rank += 1
+        if rank == n:
+            break
+    return pivots
 
 
 @dataclass(frozen=True)
 class RrefResult:
     rref: Mat
     rank: int
-    transform: Mat
     pivots: tuple[int, ...]
+    source: Mat
+
+    @functools.cached_property
+    def transform(self) -> Mat:
+        """Invertible T with T * source == rref; reduces [source | I] with
+        pivots in source's columns, on first read."""
+        a = self.source
+        ops = a.field.ops
+        m = a.ncols
+        rows = [r + e for r, e in zip(a.raw, _identity_raw(ops, a.nrows))]
+        _reduce(ops, rows, m)
+        return Mat.from_raw(a.field, tuple(tuple(r[m:]) for r in rows))
 
 
 def rref(a: Mat) -> RrefResult:
-    """Reduced row echelon form with the recording transform.
+    """Reduced row echelon form; the recording transform is built only when
+    read."""
+    rows = list(a.raw)
+    pivots = _reduce(a.field.ops, rows, a.ncols)
+    return RrefResult(Mat.from_raw(a.field, tuple(map(tuple, rows))), len(pivots), tuple(pivots), a)
 
-    Exact arithmetic: the pivot is simply the first nonzero entry in scan
-    order, no magnitude strategy is needed.
-    """
-    field = a.field
-    n, m = a.nrows, a.ncols
-    rows = [list(r) for r in a.rows]
-    tr = [list(r) for r in Mat.identity(field, n).rows]
-    pivots = []
-    rank = 0
-    for col in range(m):
-        piv = None
-        for i in range(rank, n):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        tr[rank], tr[piv] = tr[piv], tr[rank]
-        inv = field.one / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        tr[rank] = [x * inv for x in tr[rank]]
-        for i in range(n):
-            if i != rank and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[rank])]
-                tr[i] = [x - c * y for x, y in zip(tr[i], tr[rank])]
-        pivots.append(col)
-        rank += 1
-        if rank == n:
-            break
-    return RrefResult(Mat(field, rows), rank, Mat(field, tr), tuple(pivots))
+
+def _augmented(a: Mat, extra) -> Mat:
+    return Mat.from_raw(a.field, tuple(r + tuple(e) for r, e in zip(a.raw, extra)))
 
 
 def solve(a: Mat, b) -> tuple:
-    """Canonical solution of a x = b with free variables pinned to zero."""
-    field = a.field
-    res = rref(a)
-    y = res.transform.matvec(tuple(b))
-    for i in range(res.rank, a.nrows):
-        if y[i]:
-            raise InconsistentSystemError("linear system has no solution")
-    x = [field.zero] * a.ncols
-    for i, col in enumerate(res.pivots):
-        x[col] = y[i]
-    return tuple(x)
+    """Canonical solution of a x = b with free variables pinned to zero.
+
+    Reduces [a | b]: a pivot in the last column means no solution.
+    """
+    if len(b) != a.nrows:
+        raise DimensionMismatchError("right-hand side length differs from the row count")
+    ops = a.field.ops
+    m = a.ncols
+    res = rref(_augmented(a, ((ops.encode(y),) for y in b)))
+    if res.pivots and res.pivots[-1] == m:
+        raise InconsistentSystemError("linear system has no solution")
+    x = [ops.zero] * m
+    for row, col in zip(res.rref.raw, res.pivots):
+        x[col] = row[m]
+    return tuple(map(ops.decode, x))
 
 
 def inverse(a: Mat) -> Mat:
-    if a.nrows != a.ncols:
+    """Reduces [a | I], which has rank n; a is invertible exactly when every
+    pivot lies in a."""
+    n = a.nrows
+    if n != a.ncols:
         raise NotSquareError("inverse needs a square matrix")
-    res = rref(a)
-    if res.rank != a.nrows:
+    res = rref(_augmented(a, _identity_raw(a.field.ops, n)))
+    if n and res.pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")
-    return res.transform
+    return Mat.from_raw(a.field, tuple(r[n:] for r in res.rref.raw))
 
 
 # --- subspaces -------------------------------------------------------------
@@ -256,12 +321,36 @@ def inverse(a: Mat) -> Mat:
 class Subspace:
     """Subspace held by its canonical RREF row basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "_basis", "_raw", "_pivots")
 
     def __init__(self, field, ambient_dim, basis_rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = tuple(tuple(r) for r in basis_rows)
+        self._basis = tuple(tuple(r) for r in basis_rows)
+        self._raw = None
+        self._pivots = None
+
+    @classmethod
+    def from_raw(cls, field, ambient_dim, raw):
+        s = cls.__new__(cls)
+        s.field = field
+        s.ambient_dim = ambient_dim
+        s._basis = None
+        s._raw = raw
+        s._pivots = None
+        return s
+
+    @property
+    def basis(self):
+        if self._basis is None:
+            self._basis = self.field.ops.decode_rows(self._raw)
+        return self._basis
+
+    @property
+    def raw(self):
+        if self._raw is None:
+            self._raw = self.field.ops.encode_rows(self._basis)
+        return self._raw
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
@@ -269,62 +358,70 @@ class Subspace:
         for v in vectors:
             if len(v) != ambient_dim:
                 raise DimensionMismatchError("vector length differs from ambient dimension")
-        if not vectors:
-            return cls(field, ambient_dim, ())
-        res = rref(Mat(field, vectors))
-        return cls(field, ambient_dim, res.rref.rows[: res.rank])
+        return cls._span(field, ambient_dim, field.ops.encode_rows(vectors))
+
+    @classmethod
+    def _span(cls, field, ambient_dim, raw_vectors) -> "Subspace":
+        if not raw_vectors:
+            return cls.from_raw(field, ambient_dim, ())
+        res = rref(Mat.from_raw(field, tuple(raw_vectors)))
+        return cls.from_raw(field, ambient_dim, res.rref.raw[: res.rank])
 
     @classmethod
     def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls(field, ambient_dim, ())
+        return cls.from_raw(field, ambient_dim, ())
 
     @classmethod
     def full(cls, field, ambient_dim) -> "Subspace":
-        return cls(field, ambient_dim, Mat.identity(field, ambient_dim).rows)
+        return cls.from_raw(field, ambient_dim, _identity_raw(field.ops, ambient_dim))
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._basis if self._raw is None else self._raw)
 
     def is_zero(self):
-        return not self.basis
+        return not self.dim
 
     def basis_matrix(self) -> Mat:
-        return Mat(self.field, self.basis)
+        return Mat.from_raw(self.field, self.raw)
+
+    def _contains_raw(self, v) -> bool:
+        if self._pivots is None:
+            # a zero row (possible only through the element constructor) reduces nothing
+            self._pivots = tuple(next((j for j, x in enumerate(r) if x), 0) for r in self.raw)
+        ops = self.field.ops
+        axpy, neg = ops.axpy, ops.neg
+        for row, piv in zip(self.raw, self._pivots):
+            c = v[piv]
+            if c:
+                v = axpy(neg(c), row, v)
+        return not any(v)
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length differs from ambient dimension")
-        rem = list(v)
-        pivots = [_leading_index(row) for row in self.basis]
-        for row, piv in zip(self.basis, pivots):
-            c = rem[piv]
-            if c:
-                for j in range(self.ambient_dim):
-                    rem[j] = rem[j] - c * row[j]
-        return not any(rem)
+        return self._contains_raw(tuple(map(self.field.ops.encode, v)))
 
     def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(r) for r in other.basis)
+        return all(self._contains_raw(r) for r in other.raw)
 
     def annihilator_rows(self) -> Mat:
         """Matrix N with kernel exactly this subspace: x in S iff N x = 0."""
-        if not self.basis:
+        if not self.dim:
             return Mat.identity(self.field, self.ambient_dim)
-        return kernel(Mat(self.field, self.basis)).basis_matrix()
+        return kernel(self.basis_matrix()).basis_matrix()
 
     def intersection(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("subspaces of different ambient spaces")
         n1 = self.annihilator_rows()
         n2 = other.annihilator_rows()
-        stacked = Mat(self.field, n1.rows + n2.rows)
-        return kernel(stacked)
+        return kernel(Mat.from_raw(self.field, n1.raw + n2.raw))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
             raise DimensionMismatchError("subspaces of different ambient spaces")
-        return Subspace.from_vectors(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace._span(self.field, self.ambient_dim, self.raw + other.raw)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -332,38 +429,33 @@ class Subspace:
         return (
             self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.raw == other.raw
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, self.raw))
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def _leading_index(row):
-    for j, x in enumerate(row):
-        if x:
-            return j
-    return -1
-
-
 def kernel(a: Mat) -> Subspace:
     """Canonical basis of the right null space of a."""
     field = a.field
+    ops = field.ops
     res = rref(a)
     m = a.ncols
     pivots = set(res.pivots)
-    free_cols = [j for j in range(m) if j not in pivots]
     vectors = []
-    for fc in free_cols:
-        v = [field.zero] * m
-        v[fc] = field.one
-        for i, pc in enumerate(res.pivots):
-            v[pc] = -res.rref.rows[i][fc]
-        vectors.append(v)
-    return Subspace.from_vectors(field, m, vectors)
+    for fc in range(m):
+        if fc in pivots:
+            continue
+        v = [ops.zero] * m
+        v[fc] = ops.one
+        for row, pc in zip(res.rref.raw, res.pivots):
+            v[pc] = ops.neg(row[fc])
+        vectors.append(tuple(v))
+    return Subspace._span(field, m, vectors)
 
 
 # --- polynomial-operator plumbing ------------------------------------------
@@ -380,27 +472,24 @@ def charpoly(a: Mat) -> Poly:
     n = a.nrows
     if n == 0:
         return Poly.one(field)
+    ops = field.ops
+    neg, dot = ops.neg, ops.dot
+    rows = a.raw
     # coefficients highest degree first
-    prev = [field.one, -a.rows[0][0]]
+    prev = [ops.one, neg(rows[0][0])]
     for i in range(1, n):
-        M = [r[:i] for r in a.rows[:i]]
-        R = a.rows[i][:i]
-        C = [a.rows[j][i] for j in range(i)]
-        col = [field.one, -a.rows[i][i]]
-        v = C
-        for _ in range(i):
-            col.append(-_dot(R, v, field.zero))
-            v = [_dot(Mr, v, field.zero) for Mr in M]
-        # first i+2 coefficients of conv(col, prev)
-        new = []
-        for s in range(i + 2):
-            acc = field.zero
-            lo = max(0, s - len(prev) + 1)
-            for k2 in range(lo, min(s, len(col) - 1) + 1):
-                acc = acc + col[k2] * prev[s - k2]
-            new.append(acc)
-        prev = new
-    return Poly(field, list(reversed(prev)))
+        top = [r[:i] for r in rows[:i]]
+        left = rows[i][:i]
+        v = [r[i] for r in rows[:i]]
+        col = [ops.one, neg(rows[i][i])]
+        for k in range(i):
+            col.append(neg(dot(left, v)))
+            if k + 1 < i:
+                v = [dot(r, v) for r in top]
+        # first i+2 coefficients of conv(col, prev), where len(prev) = i + 1
+        rev = prev[::-1]
+        prev = [dot(col[max(0, s - i) : s + 1], rev[max(i - s, 0) :]) for s in range(i + 2)]
+    return Poly(field, [ops.decode(c) for c in reversed(prev)])
 
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:
@@ -409,11 +498,20 @@ def mat_poly_eval(p: Poly, a: Mat) -> Mat:
         raise NotSquareError("polynomial evaluation needs a square matrix")
     if p.field != a.field:
         raise MixedFieldsError("polynomial and matrix over different fields")
+    field = a.field
     n = a.nrows
-    acc = Mat.zeros(a.field, n, n)
-    ident = Mat.identity(a.field, n)
-    for c in reversed(p.coeffs):
-        acc = acc * a + ident * c
+    if p.is_zero():
+        return Mat.zeros(field, n, n)
+    ops = field.ops
+    add = ops.add
+    coeffs = [ops.encode(c) for c in reversed(p.coeffs)]
+    acc = Mat.from_raw(field, tuple(tuple(ops.scale(coeffs[0], r)) for r in _identity_raw(ops, n)))
+    for c in coeffs[1:]:
+        acc = acc * a
+        if c:
+            acc = Mat.from_raw(
+                field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw))
+            )
     return acc
 
 
@@ -442,7 +540,8 @@ def extend_scalars(a: Mat, ext: ExtensionField) -> Mat:
     """Entrywise canonical embedding of a base-field matrix."""
     if ext.base != a.field:
         raise IncompatibleFieldsError("extension does not contain the matrix field")
-    return Mat(ext, [[ext.embed(x) for x in r] for r in a.rows])
+    embed = ext.ops.embed
+    return Mat.from_raw(ext, tuple(tuple(map(embed, r)) for r in a.raw))
 
 
 def extend_vector(v, ext: ExtensionField):
@@ -458,11 +557,10 @@ def restrict_scalars_kernel(eqns: Mat) -> Subspace:
     ext = eqns.field
     if not isinstance(ext, ExtensionField):
         raise IncompatibleFieldsError("system must be stated over an extension field")
-    base = ext.base
+    coeffs = ext.ops.coeffs
     rows = []
-    for r in eqns.rows:
-        for level in range(ext.degree):
-            rows.append([x.coeffs[level] for x in r])
+    for r in eqns.raw:
+        rows.extend(zip(*map(coeffs, r)))
     if not rows:
-        return Subspace.full(base, eqns.ncols)
-    return kernel(Mat(base, rows))
+        return Subspace.full(ext.base, eqns.ncols)
+    return kernel(Mat.from_raw(ext.base, tuple(rows)))

@@ -470,11 +470,16 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
         checks["conjugation"] = False
     if cert.case == "jordan":
         try:
-            expected = Mat.block_diag(
-                field,
-                [jordan_block(field, lam, s) for lam, sizes in cert.jordan_spec for s in sizes],
-            )
-            checks["jordan_form"] = b == expected and _spec_orderly(field, cert.jordan_spec)
+            claimed = [s for _, sizes in cert.jordan_spec for s in sizes]
+            # bounded before any block is built: a claimed size is not trusted
+            if any(s < 1 for s in claimed) or sum(claimed) != space.n:
+                checks["jordan_form"] = False
+            else:
+                expected = Mat.block_diag(
+                    field,
+                    [jordan_block(field, lam, s) for lam, sizes in cert.jordan_spec for s in sizes],
+                )
+                checks["jordan_form"] = b == expected and _spec_orderly(field, cert.jordan_spec)
         except Exception:
             checks["jordan_form"] = False
     try:

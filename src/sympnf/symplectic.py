@@ -66,10 +66,10 @@ def form_eval(space: SymplecticSpace, x, y):
     if len(x) != space.dim or len(y) != space.dim:
         raise DimensionMismatchError("vectors must have length 2n")
     n = space.n
-    acc = space.field.zero
-    for i in range(n):
-        acc = acc + x[i] * y[n + i] - x[n + i] * y[i]
-    return acc
+    ops = space.field.ops
+    x = tuple(map(ops.encode, x))
+    y = tuple(map(ops.encode, y))
+    return ops.decode(ops.add(ops.dot(x[:n], y[n:]), ops.neg(ops.dot(x[n:], y[:n]))))
 
 
 def _check_square(space, a):

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,21 @@ class TestCliPipeline:
         data["B"][0][0] = "4"
         bad = _write(tmp_path, "bad.json", dumps_canonical(data))
         assert main(["verify", bad]) == EXIT_PREDICATE_FALSE
+        assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [["100000000"], ["100000000", "-99999998"], ["0", "2"], ["1"]],
+        ids=["huge", "huge-cancelling", "zero", "short"],
+    )
+    def test_jordan_spec_sizes_are_bounded_before_blocks_are_built(self, tmp_path, capsys, sizes):
+        _, cert, _ = self._roundtrip(tmp_path, capsys, "prime:5", "2:[2]")
+        data = json.loads(open(cert, encoding="utf-8").read())
+        data["jordan_spec"][0]["sizes"] = sizes
+        bad = _write(tmp_path, "bad.json", dumps_canonical(data))
+        start = time.monotonic()
+        assert main(["verify", bad]) == EXIT_PREDICATE_FALSE
+        assert time.monotonic() - start < 5.0
         assert "FAIL" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
