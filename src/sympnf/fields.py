@@ -91,20 +91,6 @@ def is_prime(n: int) -> bool:
 ZECH_MAX_ORDER = 1 << 16
 
 
-class _Interned(dict):
-    """raw value -> element, each element built once, on first use."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make):
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, v):
-        x = self[v] = self.make(v)
-        return x
-
-
 class _Ops:
     def encode_rows(self, rows):
         enc = self.encode
@@ -179,10 +165,7 @@ class ResidueOps(_Ops):
     def __init__(self, field):
         self.field = field
         self.p = field.p
-        if field.p <= ZECH_MAX_ORDER:
-            self.decode = _Interned(functools.partial(FpElement, field)).__getitem__
-        else:
-            self.decode = functools.partial(FpElement, field)
+        self.decode = functools.partial(FpElement, field)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -226,13 +209,12 @@ class ZechOps(_Ops):
         self.base_order = base.order
         self.weights = tuple(base.order ** i for i in range(field.degree))
         self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
-        self.decode = _Interned(self._element).__getitem__
 
     def encode(self, x):
         enc = self.base_ops.encode
         return self.log[sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)])]
 
-    def _element(self, v):
+    def decode(self, v):
         return ExtElement(self.field, tuple(map(self.base_ops.decode, self.coeffs(v))))
 
     def coeffs(self, v):
