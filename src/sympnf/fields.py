@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 from array import array
 from fractions import Fraction
-from operator import attrgetter, mul
+from operator import mul
 
 from .errors import (
     DivisionByZeroError,
@@ -83,15 +83,24 @@ def is_prime(n: int) -> bool:
 
 # --- raw values ------------------------------------------------------------
 #
-# What every ``ops`` guarantees: the raw zero is the only falsy raw value, so
-# ``not v`` is the zero test; two raw values are equal exactly when their
-# elements are; ``scale(c, xs)`` is c*xs, ``axpy(c, xs, ys)`` is c*xs + ys and
-# ``dot(xs, ys)`` the inner product, on equal-length sequences.
+# What every ``ops`` guarantees: ``encode`` takes an element of the field (or
+# an int, lifted like the element types lift it) and raises MixedFieldsError
+# on anything else; the raw zero is the only falsy raw value, so ``not v`` is
+# the zero test; two raw values are equal exactly when their elements are;
+# ``scale(c, xs)`` is c*xs, ``axpy(c, xs, ys)`` is c*xs + ys and ``dot(xs, ys)``
+# the inner product, on equal-length sequences.
 
 ZECH_MAX_ORDER = 1 << 16
 
 
 class _Ops:
+    def _lift(self, x):
+        """Raw value of an x that is not an element of the field: an int is
+        lifted into it, anything else is refused."""
+        if isinstance(x, int):
+            return self.encode(self.field.from_int(x))
+        raise MixedFieldsError(f"{x!r} is not an element of {self.field!r}")
+
     def encode_rows(self, rows):
         enc = self.encode
         return tuple(tuple(map(enc, r)) for r in rows)
@@ -111,14 +120,13 @@ class ObjectOps(_Ops):
         self.one = field.one
 
     def encode(self, x):
-        return x
+        return x if isinstance(x, Fraction) else self._lift(x)
 
-    decode = encode
+    def decode(self, v):
+        return v
 
-    def encode_rows(self, rows):
-        return rows
-
-    decode_rows = encode_rows
+    def decode_rows(self, raw):
+        return raw
 
     def add(self, a, b):
         return a + b
@@ -146,6 +154,11 @@ class ObjectOps(_Ops):
 class _ExtObjectOps(ObjectOps):
     """ObjectOps of an extension field, with its base-field conversions."""
 
+    def encode(self, x):
+        if isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field):
+            return x
+        return self._lift(x)
+
     def embed(self, b):
         """Raw value of the base-field raw value b."""
         return self.field.embed(self.field.base.ops.decode(b))
@@ -160,12 +173,16 @@ class ResidueOps(_Ops):
 
     zero = 0
     one = 1
-    encode = staticmethod(attrgetter("value"))
 
     def __init__(self, field):
         self.field = field
         self.p = field.p
         self.decode = functools.partial(FpElement, field)
+
+    def encode(self, x):
+        if isinstance(x, FpElement) and x.field.p == self.p:
+            return x.value
+        return self._lift(x)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -211,6 +228,8 @@ class ZechOps(_Ops):
         self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
 
     def encode(self, x):
+        if not (isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field)):
+            return self._lift(x)
         enc = self.base_ops.encode
         return self.log[sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)])]
 
@@ -307,7 +326,6 @@ def _mulmod(bops, xk_pows, a, b):
     return tuple(out)
 
 
-@functools.lru_cache(maxsize=4)
 def _zech_tables(base, modulus):
     """(exp, log, zech, mn) of base[x]/(modulus), of order q = Q^k <= ZECH_MAX_ORDER.
 
@@ -316,7 +334,8 @@ def _zech_tables(base, modulus):
     the raw value of 1 + g^d (a negative d reads as d + q - 1); mn[a + b] the
     raw value of the product of the nonzero raw values a and b.  g is the
     first primitive element in code order, so raw values depend only on
-    (base, modulus) and compare equal across equal field objects.
+    (base, modulus) and compare equal across equal field objects.  Each field
+    builds its tables once, on first use of its ``ops``.
     """
     bops = base.ops
     k = len(modulus) - 1

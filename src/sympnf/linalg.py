@@ -8,16 +8,15 @@ equality is tuple equality and every downstream basis choice is canonical.
 
 The kernels compute on the field's raw values (``field.ops``: residues for
 F_p, Zech logarithms for small extension fields, the elements themselves
-otherwise).  ``Mat.rows`` and ``Subspace.basis`` hold field elements, built
-from the raw values on first read; matrices and subspaces built from
-elements are encoded on first use by a kernel.
+otherwise).  Matrices and subspaces hold raw values, encoded when they are
+built from elements (which checks that every entry lies in the field);
+``Mat.rows`` and ``Subspace.basis`` are the elements, decoded on first read.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatchError,
@@ -28,7 +27,7 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .fields import QQ, ExtensionField
+from .fields import ExtensionField
 from .poly import Poly
 
 __all__ = [
@@ -52,46 +51,30 @@ def _identity_raw(ops, n):
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
-def _scalar_raw(field, x):
-    """Raw value of a scalar operand, lifting ints like the element types do."""
-    if isinstance(x, int):
-        x = field.from_int(x)
-    elif getattr(x, "field", QQ if isinstance(x, Fraction) else None) != field:
-        raise MixedFieldsError(f"cannot scale a matrix over {field!r} by {x!r}")
-    return field.ops.encode(x)
-
-
 class Mat:
-    """Immutable dense matrix over one field, held as raw values, as
-    elements, or both (each made from the other on first read)."""
+    """Immutable dense matrix over one field, held as raw values."""
 
-    __slots__ = ("field", "_rows", "_raw")
+    __slots__ = ("field", "raw", "_rows")
 
     def __init__(self, field, rows):
         self.field = field
-        self._rows = tuple(tuple(r) for r in rows)
-        self._raw = None
+        self.raw = field.ops.encode_rows(rows)
+        self._rows = None
 
     @classmethod
     def from_raw(cls, field, raw):
         """Matrix of a tuple of tuples of raw values of field.ops."""
         m = cls.__new__(cls)
         m.field = field
+        m.raw = raw
         m._rows = None
-        m._raw = raw
         return m
 
     @property
     def rows(self):
         if self._rows is None:
-            self._rows = self.field.ops.decode_rows(self._raw)
+            self._rows = self.field.ops.decode_rows(self.raw)
         return self._rows
-
-    @property
-    def raw(self):
-        if self._raw is None:
-            self._raw = self.field.ops.encode_rows(self._rows)
-        return self._raw
 
     # -- constructors
 
@@ -105,7 +88,7 @@ class Mat:
 
     @classmethod
     def from_ints(cls, field, rows):
-        return cls(field, [[field.from_int(v) for v in r] for r in rows])
+        return cls(field, rows)
 
     @classmethod
     def block_diag(cls, field, blocks):
@@ -127,12 +110,11 @@ class Mat:
 
     @property
     def nrows(self):
-        return len(self._rows if self._raw is None else self._raw)
+        return len(self.raw)
 
     @property
     def ncols(self):
-        rows = self._rows if self._raw is None else self._raw
-        return len(rows[0]) if rows else 0
+        return len(self.raw[0]) if self.raw else 0
 
     def row(self, i):
         return self.rows[i]
@@ -181,7 +163,7 @@ class Mat:
             dot = ops.dot
             cols = tuple(zip(*o.raw))
             return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw))
-        c = _scalar_raw(self.field, other)
+        c = ops.encode(other)
         return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
 
     __rmul__ = __mul__
@@ -321,13 +303,13 @@ def inverse(a: Mat) -> Mat:
 class Subspace:
     """Subspace held by its canonical RREF row basis."""
 
-    __slots__ = ("field", "ambient_dim", "_basis", "_raw", "_pivots")
+    __slots__ = ("field", "ambient_dim", "raw", "_basis", "_pivots")
 
     def __init__(self, field, ambient_dim, basis_rows):
         self.field = field
         self.ambient_dim = ambient_dim
-        self._basis = tuple(tuple(r) for r in basis_rows)
-        self._raw = None
+        self.raw = field.ops.encode_rows(basis_rows)
+        self._basis = None
         self._pivots = None
 
     @classmethod
@@ -335,22 +317,16 @@ class Subspace:
         s = cls.__new__(cls)
         s.field = field
         s.ambient_dim = ambient_dim
+        s.raw = raw
         s._basis = None
-        s._raw = raw
         s._pivots = None
         return s
 
     @property
     def basis(self):
         if self._basis is None:
-            self._basis = self.field.ops.decode_rows(self._raw)
+            self._basis = self.field.ops.decode_rows(self.raw)
         return self._basis
-
-    @property
-    def raw(self):
-        if self._raw is None:
-            self._raw = self.field.ops.encode_rows(self._basis)
-        return self._raw
 
     @classmethod
     def from_vectors(cls, field, ambient_dim, vectors) -> "Subspace":
@@ -377,7 +353,7 @@ class Subspace:
 
     @property
     def dim(self):
-        return len(self._basis if self._raw is None else self._raw)
+        return len(self.raw)
 
     def is_zero(self):
         return not self.dim

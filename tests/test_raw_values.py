@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympnf.errors import SingularMatrixError
+from sympnf.errors import MixedFieldsError, SingularMatrixError
 from sympnf.fields import (
     ZECH_MAX_ORDER,
     ExtElement,
@@ -31,6 +31,7 @@ from sympnf.linalg import (
     rref,
 )
 from sympnf.poly import Poly, is_irreducible
+from sympnf.symplectic import SymplecticSpace, form_eval
 
 F3 = PrimeField(3)
 F101 = PrimeField(101)
@@ -121,9 +122,12 @@ def test_zech_tables_round_trip(field):
     assert field._mul(field.gen, field.gen) == field._schoolbook(field.gen, field.gen)
 
 
-def test_equal_extensions_share_one_set_of_tables():
+def test_equal_extensions_have_equal_raw_values():
     twin = ExtensionField(F101_2.base, F101_2.modulus, check_irreducible=False)
-    assert twin.ops.zech is F101_2.ops.zech
+    x = F101_2.gen * 3 + 7
+    y = twin.gen * 3 + 7
+    assert twin.ops.encode(x) == F101_2.ops.encode(y) == F101_2.ops.encode(x)
+    assert Mat(twin, [[y, twin.one]]) == Mat(F101_2, [[x, F101_2.one]])
 
 
 @st.composite
@@ -197,3 +201,33 @@ def test_scaling_by_zero_and_by_an_int():
     assert (a * F9.zero).is_zero()
     assert a * 2 == a + a
     assert Mat.identity(QQ, 2) * Fraction(1, 2) == Mat(QQ, [[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
+
+
+F5, F7 = PrimeField(5), PrimeField(7)
+F25 = make_field("extension", p=5, modulus=[2, 0, 1])  # 2 is not a square mod 5
+
+
+@pytest.mark.parametrize(
+    "field, stranger",
+    [(F5, F7.from_int(6)), (F5, F25.gen), (F5, Fraction(1, 2)), (F25, F5.one), (F25, F9.gen),
+     (F101_3, F101.one), (QQ, F5.one), (QQ, 0.5)],
+    ids=["F5-F7", "F5-F25", "F5-QQ", "F25-F5", "F25-F9", "F101^3-F101", "QQ-F5", "QQ-float"],
+)
+def test_an_element_of_another_field_is_refused(field, stranger):
+    one = field.one
+    with pytest.raises(MixedFieldsError):
+        Mat(field, [[one, stranger]])
+    with pytest.raises(MixedFieldsError):
+        Mat.identity(field, 2).matvec((one, stranger))
+    with pytest.raises(MixedFieldsError):
+        Mat.identity(field, 2) * stranger
+    with pytest.raises(MixedFieldsError):
+        form_eval(SymplecticSpace(field, 1), (one, stranger), (one, one))
+
+
+def test_ints_are_lifted_into_the_field():
+    a = Mat(F5, [[6, 2], [3, -1]])
+    assert a == Mat(F5, [[F5.one, F5.from_int(2)], [F5.from_int(3), F5.from_int(4)]])
+    assert a.matvec((1, 0)) == (F5.one, F5.from_int(3))
+    assert form_eval(SymplecticSpace(F25, 1), (1, 0), (0, 7)) == F25.from_int(2)
+    assert Mat(QQ, [[1, 2]]).rows == ((Fraction(1), Fraction(2)),)
