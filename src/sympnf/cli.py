@@ -11,7 +11,6 @@ import argparse
 import json
 import random
 import sys
-from fractions import Fraction
 
 from .errors import (
     BadSpecError,
@@ -26,7 +25,9 @@ from .poly import Poly
 from .serialize import (
     certificate_from_json,
     certificate_to_json,
+    decode_scalar,
     dumps_canonical,
+    encode_scalar,
     instance_from_json,
     instance_to_json,
 )
@@ -71,19 +72,16 @@ def parse_field_flag(flag: str):
 
 
 def _parse_spec_scalar(field, text: str):
+    """An eigenvalue in the scalar encoding of instance files; a coefficient
+    vector is written '(c0,c1,...)'."""
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
         if field.kind != "extension":
             raise InstanceParseError("coefficient-vector eigenvalues need an extension field")
-        from .fields import ExtElement
-
-        coeffs = [field.base.from_int(int(c)) for c in text[1:-1].split(",")]
-        if len(coeffs) != field.degree:
-            raise InstanceParseError(f"eigenvalue needs {field.degree} coefficients")
-        return ExtElement(field, tuple(coeffs))
-    if field.kind == "rational":
-        return Fraction(text)
-    return field.from_int(int(text))
+        return decode_scalar(field, text[1:-1].split(","))
+    if field.kind == "extension":
+        return field.embed(decode_scalar(field.base, text))
+    return decode_scalar(field, text)
 
 
 def parse_block_spec(field, text: str):
@@ -138,8 +136,6 @@ def cmd_normal_form(args) -> int:
         return EXIT_UNSUPPORTED
     print(f"case: {cert.case}")
     if cert.jordan_spec is not None:
-        from .serialize import encode_scalar
-
         parts = []
         for lam, sizes in cert.jordan_spec:
             enc = encode_scalar(space.field, lam)

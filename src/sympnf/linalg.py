@@ -102,10 +102,6 @@ class Mat:
             j += b.ncols
         return cls.from_raw(field, tuple(out))
 
-    @classmethod
-    def from_columns(cls, field, cols):
-        return cls(field, zip(*cols))
-
     # -- structure
 
     @property
@@ -115,9 +111,6 @@ class Mat:
     @property
     def ncols(self):
         return len(self.raw[0]) if self.raw else 0
-
-    def row(self, i):
-        return self.rows[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.rows)

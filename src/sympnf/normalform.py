@@ -3,6 +3,11 @@ operator, the cyclic-chain construction for the nilpotent case, the
 splitting (Jordan) case, finite-field Galois descent, certification, and
 seeded instance generation.
 
+A cyclic pair (u, w) is split off by the sigma-projection x -> x + sum
+sigma(x, w_i) u_i - sum sigma(x, u_i) w_i onto its sigma-complement.  Descent
+lowers the RREF basis of a Galois-stable subspace entrywise: Frobenius fixes
+that basis, because a subspace has only one RREF basis.
+
 Sign bookkeeping: cyclic chains are built with sigma(w_i, u_j) = delta_ij;
 when chains are assembled into a basis matrix C = [u-columns | w-columns]
 the w-columns are negated, which is exactly the normalization making
@@ -16,9 +21,11 @@ from dataclasses import dataclass
 
 from .errors import (
     BadSpecError,
+    DimensionMismatchError,
     EigenvaluesNotInFieldError,
     InternalDescentFailureError,
     InvalidCertificateError,
+    MixedFieldsError,
     NotFiniteFieldError,
     NotNilpotentError,
     NotSelfAdjointError,
@@ -34,7 +41,6 @@ from .linalg import (
     inverse,
     kernel,
     mat_poly_eval,
-    restrict_scalars_kernel,
     solve,
 )
 from .poly import Factorization, Poly, factor, multi_bezout
@@ -45,7 +51,6 @@ from .symplectic import (
     is_self_adjoint,
     is_symplectic_matrix,
     random_symplectic,
-    symplectic_complement,
 )
 
 __all__ = [
@@ -162,28 +167,11 @@ def self_adjoint_projections(space: SymplecticSpace, a: Mat, fac: Factorization)
 # --- cyclic chains ----------------------------------------------------------
 
 
-def _height(g: Mat, v, bound: int) -> int:
-    h = 0
-    w = tuple(v)
-    while any(w):
-        w = g.matvec(w)
-        h += 1
-        if h > bound:
-            raise NotNilpotentError("operator is not nilpotent on the subspace")
-    return h
-
-
 def _solve_in_subspace(space: SymplecticSpace, s: Subspace, targets, rhs):
     """Canonical w in s with sigma(w, targets[i]) = rhs[i]."""
-    field = space.field
-    g = Mat(field, [[form_eval(space, b, t) for b in s.basis] for t in targets])
-    y = solve(g, rhs)
-    acc = [field.zero] * space.dim
-    for c, b in zip(y, s.basis):
-        if c:
-            for j in range(space.dim):
-                acc[j] = acc[j] + c * b[j]
-    return tuple(acc)
+    basis = s.basis_matrix()
+    gram = Mat(space.field, targets) * space.omega.transpose() * basis.transpose()
+    return (Mat(space.field, [solve(gram, rhs)]) * basis).rows[0]
 
 
 def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool = False) -> CyclicPair:
@@ -196,13 +184,19 @@ def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool
     recursion, both verified against the same postconditions.
     """
     field = space.field
-    heights = [_height(g, b, s.dim) for b in s.basis]
-    d = max(heights)
-    top = s.basis[heights.index(d)]
-    us = [None] * d
-    us[d - 1] = tuple(top)
-    for i in range(d - 1, 0, -1):
-        us[i - 1] = g.matvec(us[i])
+    if s.is_zero():
+        raise DimensionMismatchError("a cyclic pair needs a nonzero subspace")
+    # images[k] holds g^k of every basis vector of s; the height d is the
+    # first k where all of them vanish, and the chain of the top is read off
+    gt = g.transpose()
+    images = [s.basis_matrix()]
+    while not images[-1].is_zero():
+        if len(images) > s.dim:
+            raise NotNilpotentError("operator is not nilpotent on the subspace")
+        images.append(images[-1] * gt)
+    d = len(images) - 1
+    top = next(i for i, row in enumerate(images[d - 1].rows) if any(row))
+    us = [images[d - 1 - k].rows[top] for k in range(d)]
     one, zero = field.one, field.zero
     if use_recursion:
         v = _solve_in_subspace(space, s, [us[0]], (one,))
@@ -226,27 +220,31 @@ def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool
 
 
 def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
-    d = pair.d
-    one, zero = space.field.one, space.field.zero
-    for i in range(d):
-        for j in range(d):
-            if form_eval(space, pair.w_chain[i], pair.u_chain[j]) != (one if i == j else zero):
-                raise InternalDescentFailureError("chain pair is not sigma-dual")
-            if form_eval(space, pair.u_chain[i], pair.u_chain[j]) != zero:
-                raise InternalDescentFailureError("u-chain is not isotropic")
-            if form_eval(space, pair.w_chain[i], pair.w_chain[j]) != zero:
-                raise InternalDescentFailureError("w-chain is not isotropic")
+    """P O P^T = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic."""
+    p = Mat(space.field, pair.u_chain + pair.w_chain)
+    if p * space.omega * p.transpose() != -SymplecticSpace(space.field, pair.d).omega:
+        raise InternalDescentFailureError("chain pair is not sigma-dual with isotropic chains")
+
+
+def _split_off(space: SymplecticSpace, current: Subspace, pair: CyclicPair) -> Subspace:
+    """current intersected with the sigma-complement of the pair, as the image
+    of x -> x + sum sigma(x, w_i) u_i - sum sigma(x, u_i) w_i."""
+    field = space.field
+    u, w = Mat(field, pair.u_chain), Mat(field, pair.w_chain)
+    x = current.basis_matrix()
+    xo = x * space.omega  # row r, column j: sigma(x_r, e_j)
+    proj = x + xo * w.transpose() * u - xo * u.transpose() * w
+    return Subspace._span(field, space.dim, proj.raw)
 
 
 def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool = False) -> list[CyclicPair]:
-    """Exhaust s by cyclic pairs, recursing into the sigma-complement."""
+    """Exhaust s by cyclic pairs, splitting each off by sigma-projection."""
     chains = []
     current = s
     while not current.is_zero():
         pair = cyclic_pair(space, g, current, use_recursion)
         chains.append(pair)
-        v0 = Subspace.from_vectors(space.field, space.dim, pair.u_chain + pair.w_chain)
-        current = current.intersection(symplectic_complement(space, v0))
+        current = _split_off(space, current, pair)
     return chains
 
 
@@ -343,12 +341,13 @@ def _split_core(space: SymplecticSpace, a: Mat, roots) -> tuple[Mat, Mat, tuple]
 
 
 def _descend_subspace(ext: ExtensionField, sub: Subspace) -> Subspace:
-    """Base-field rational points of a Galois-stable extension subspace."""
-    eqns = sub.annihilator_rows()
-    down = restrict_scalars_kernel(eqns)
-    if down.dim != sub.dim:
-        raise InternalDescentFailureError("descended subspace has the wrong dimension")
-    return down
+    """Base-field rational points of a Galois-stable extension subspace: its
+    RREF basis, whose entries all lie in the base field (module docstring)."""
+    try:
+        rows = [[ext.lower(x) for x in row] for row in sub.basis]
+    except MixedFieldsError as exc:
+        raise InternalDescentFailureError("subspace is not Galois-stable") from exc
+    return Subspace(ext.base, sub.ambient_dim, rows)
 
 
 def _component_lagrangians(space: SymplecticSpace, a: Mat, p: Poly, m: int):
@@ -397,12 +396,9 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
 def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[Mat, Mat]:
     """descent_normal_form once a is known self-adjoint and fac factors charpoly(a)."""
     field = space.field
-    u_total = Subspace.zero(field, space.dim)
-    w_total = Subspace.zero(field, space.dim)
-    for p, m in fac.factors:
-        u_i, w_i = _component_lagrangians(space, a, p, m)
-        u_total = u_total.sum(u_i)
-        w_total = w_total.sum(w_i)
+    lagrangians = [_component_lagrangians(space, a, p, m) for p, m in fac.factors]
+    u_total = Subspace._span(field, space.dim, [r for u, _ in lagrangians for r in u.raw])
+    w_total = Subspace._span(field, space.dim, [r for _, w in lagrangians for r in w.raw])
     c = darboux_from_lagrangian_pair(space, a, u_total, w_total)
     m = inverse(c) * a * c
     n = space.n

@@ -7,6 +7,7 @@ yield byte-identical files.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import InstanceParseError
@@ -45,10 +46,19 @@ def encode_scalar(field, x):
     return [encode_scalar(field.base, c) for c in x.coeffs]
 
 
+# the forms encode_scalar writes; Fraction(str) also parses decimals and
+# exponents, and spends seconds on one like "1e10000000"
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def decode_scalar(field, s):
     try:
         if isinstance(field, RationalField):
-            return Fraction(str(s))
+            m = _RATIONAL.fullmatch(str(s))
+            if m is None:
+                raise InstanceParseError(f"bad rational {s!r}: expected an integer or p/q")
+            num, den = m.groups()
+            return Fraction(int(num), int(den or 1))
         if isinstance(field, PrimeField):
             return field.from_int(int(s))
         if isinstance(field, ExtensionField):

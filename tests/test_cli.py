@@ -128,10 +128,26 @@ class TestFlagParsing:
         assert spec == [("jordan", F9.gen, (1,))]
 
     def test_bad_specs(self):
-        for text in ("", "1:[0]", "1:[]", "x,y", "(0,1):[1]" ):
-            field = F5
+        cases = [(F5, text) for text in ("", "1:[0]", "1:[]", "x,y", "(0,1):[1]", "x:[1]", "1.5:[1]")]
+        cases += [(QQ, text) for text in ("abc:[1]", "1/0:[1]", "1.5:[1]", "1e3:[1]", "1e10000000:[1]")]
+        cases += [(F9, text) for text in ("(a,1):[1]", "(1):[1]", "(0,1,0):[1]", "x:[1]")]
+        for field, text in cases:
             with pytest.raises(InstanceParseError):
                 parse_block_spec(field, text)
+
+    @pytest.mark.parametrize(
+        "field_flag,spec",
+        [("rational", "abc:[1]"), ("rational", "1/0:[1]"), ("prime:5", "x:[1]"), ("ext:3:1,0,1", "(a,1):[1]")],
+    )
+    def test_bad_spec_eigenvalue_is_a_parse_error(self, field_flag, spec):
+        assert main(["random", "--field", field_flag, "--spec", spec]) == EXIT_PARSE
+
+    def test_rationals_take_only_the_encoded_forms(self):
+        assert decode_scalar(QQ, "-12/8") == Fraction(-3, 2)
+        assert decode_scalar(QQ, "7") == Fraction(7)
+        for text in ("1.5", "1e3", "1e10000000", " 1", "1/-2", "+1", "1_000", "inf", "nan", ""):
+            with pytest.raises(InstanceParseError):
+                decode_scalar(QQ, text)
 
 
 def _write(tmp_path, name, text):
@@ -236,6 +252,16 @@ class TestCliPipeline:
         assert main(["verify", bad]) == EXIT_PREDICATE_FALSE
         assert time.monotonic() - start < 5.0
         assert "FAIL" in capsys.readouterr().out
+
+    def test_huge_exponent_is_refused_quickly(self, tmp_path, capsys):
+        _, cert, _ = self._roundtrip(tmp_path, capsys, "rational", "0:[1];3:[2]")
+        data = json.loads(open(cert, encoding="utf-8").read())
+        data["A"][0][0] = "1e10000000"
+        bad = _write(tmp_path, "bad.json", dumps_canonical(data))
+        start = time.monotonic()
+        assert main(["verify", bad]) == EXIT_PARSE
+        assert main(["random", "--field", "rational", "--spec", "1e10000000:[1]"]) == EXIT_PARSE
+        assert time.monotonic() - start < 1.0
 
     @pytest.mark.parametrize(
         "mutate",

@@ -5,6 +5,7 @@ import pytest
 
 import sympnf.normalform as nf
 from sympnf.errors import (
+    DimensionMismatchError,
     EigenvaluesNotInFieldError,
     InvalidCertificateError,
     NotFiniteFieldError,
@@ -179,6 +180,11 @@ class TestCyclicPair:
         sp = SymplecticSpace(QQ, 1)
         with pytest.raises(NotNilpotentError):
             cyclic_pair(sp, Mat.identity(QQ, 2), Subspace.full(QQ, 2))
+
+    def test_rejects_the_zero_subspace(self):
+        sp = SymplecticSpace(F5, 1)
+        with pytest.raises(DimensionMismatchError):
+            cyclic_pair(sp, Mat.zeros(F5, 2, 2), Subspace.zero(F5, 2))
 
     @pytest.mark.parametrize("use_recursion", [False, True], ids=["solve", "recursion"])
     def test_chain_invariants_on_scrambled_instances(self, use_recursion):
