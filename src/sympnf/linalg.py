@@ -54,19 +54,22 @@ def _identity_raw(ops, n):
 class Mat:
     """Immutable dense matrix over one field, held as raw values."""
 
-    __slots__ = ("field", "raw", "_rows")
+    __slots__ = ("field", "raw", "ncols", "_rows")
 
     def __init__(self, field, rows):
         self.field = field
         self.raw = field.ops.encode_rows(rows)
+        self.ncols = len(self.raw[0]) if self.raw else 0
         self._rows = None
 
     @classmethod
-    def from_raw(cls, field, raw):
-        """Matrix of a tuple of tuples of raw values of field.ops."""
+    def from_raw(cls, field, raw, ncols=0):
+        """Matrix of a tuple of tuples of raw values of field.ops; ncols is
+        the width of a matrix with no rows."""
         m = cls.__new__(cls)
         m.field = field
         m.raw = raw
+        m.ncols = len(raw[0]) if raw else ncols
         m._rows = None
         return m
 
@@ -84,7 +87,7 @@ class Mat:
 
     @classmethod
     def zeros(cls, field, r, c):
-        return cls.from_raw(field, ((field.ops.zero,) * c,) * r)
+        return cls.from_raw(field, ((field.ops.zero,) * c,) * r, c)
 
     @classmethod
     def from_ints(cls, field, rows):
@@ -108,15 +111,12 @@ class Mat:
     def nrows(self):
         return len(self.raw)
 
-    @property
-    def ncols(self):
-        return len(self.raw[0]) if self.raw else 0
-
     def col(self, j):
         return tuple(r[j] for r in self.rows)
 
     def transpose(self):
-        return Mat.from_raw(self.field, tuple(zip(*self.raw))) if self.nrows else self
+        cols = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
+        return Mat.from_raw(self.field, cols, self.nrows)
 
     def submatrix(self, r0, r1, c0, c1):
         return Mat.from_raw(self.field, tuple(r[c0:c1] for r in self.raw[r0:r1]))
@@ -155,7 +155,7 @@ class Mat:
                 raise DimensionMismatchError("matrix product shape mismatch")
             dot = ops.dot
             cols = tuple(zip(*o.raw))
-            return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw))
+            return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw), o.ncols)
         c = ops.encode(other)
         return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
 
@@ -352,7 +352,7 @@ class Subspace:
         return not self.dim
 
     def basis_matrix(self) -> Mat:
-        return Mat.from_raw(self.field, self.raw)
+        return Mat.from_raw(self.field, self.raw, self.ambient_dim)
 
     def _contains_raw(self, v) -> bool:
         if self._pivots is None:
@@ -376,8 +376,6 @@ class Subspace:
 
     def annihilator_rows(self) -> Mat:
         """Matrix N with kernel exactly this subspace: x in S iff N x = 0."""
-        if not self.dim:
-            return Mat.identity(self.field, self.ambient_dim)
         return kernel(self.basis_matrix()).basis_matrix()
 
     def intersection(self, other: "Subspace") -> "Subspace":
@@ -385,7 +383,7 @@ class Subspace:
             raise DimensionMismatchError("subspaces of different ambient spaces")
         n1 = self.annihilator_rows()
         n2 = other.annihilator_rows()
-        return kernel(Mat.from_raw(self.field, n1.raw + n2.raw))
+        return kernel(Mat.from_raw(self.field, n1.raw + n2.raw, self.ambient_dim))
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self.ambient_dim:
@@ -530,6 +528,4 @@ def restrict_scalars_kernel(eqns: Mat) -> Subspace:
     rows = []
     for r in eqns.raw:
         rows.extend(zip(*map(coeffs, r)))
-    if not rows:
-        return Subspace.full(ext.base, eqns.ncols)
-    return kernel(Mat.from_raw(ext.base, tuple(rows)))
+    return kernel(Mat.from_raw(ext.base, tuple(rows), eqns.ncols))

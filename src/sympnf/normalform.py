@@ -46,6 +46,7 @@ from .linalg import (
 from .poly import Factorization, Poly, factor, multi_bezout
 from .symplectic import (
     SymplecticSpace,
+    adjoint,
     darboux_from_lagrangian_pair,
     form_eval,
     is_self_adjoint,
@@ -390,23 +391,23 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
     claim beyond C^-1 A C = diag(B, B^T)."""
     if space.field.kind == "rational":
         raise NotFiniteFieldError("descent requires a finite base field")
-    return _descent_core(space, a, _resolved_factorization(space, a, seed))
+    c, b = _descent_core(space, a, _resolved_factorization(space, a, seed))
+    if not verify_certificate(NormalFormCertificate(space, a, c, b, "descent", None)).ok:
+        raise InternalDescentFailureError("descent basis did not block-diagonalize the operator")
+    return c, b
 
 
 def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[Mat, Mat]:
-    """descent_normal_form once a is known self-adjoint and fac factors charpoly(a)."""
+    """descent_normal_form once a is known self-adjoint and fac factors
+    charpoly(a); the caller verifies the result."""
     field = space.field
     lagrangians = [_component_lagrangians(space, a, p, m) for p, m in fac.factors]
     u_total = Subspace._span(field, space.dim, [r for u, _ in lagrangians for r in u.raw])
     w_total = Subspace._span(field, space.dim, [r for _, w in lagrangians for r in w.raw])
     c = darboux_from_lagrangian_pair(space, a, u_total, w_total)
-    m = inverse(c) * a * c
+    # c is symplectic, so c^-1 is its adjoint; B is the top-left block of c^-1 a c
     n = space.n
-    b = m.submatrix(0, n, 0, n)
-    expected = Mat.block_diag(field, [b, b.transpose()])
-    if m != expected:
-        raise InternalDescentFailureError("descent basis did not block-diagonalize the operator")
-    return c, b
+    return c, adjoint(space, c).submatrix(0, n, 0, 2 * n) * a * c.submatrix(0, 2 * n, 0, n)
 
 
 # --- orchestration ----------------------------------------------------------
@@ -450,7 +451,14 @@ def _spec_orderly(field, spec) -> bool:
 
 def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
     """Independent checker; recomputes every predicate without trusting the
-    pipeline.  Failures are report entries, never exceptions."""
+    pipeline.  Failures are report entries, never exceptions.
+
+    Conjugation is checked as C^-1 A C = diag(B, B^T); a symplectic C has
+    C^-1 = -O C^T O, so only a C that fails symplectic_basis is inverted by
+    elimination.  Similar matrices share a characteristic polynomial, so
+    charpoly_square is computed only when conjugation fails or B is not an
+    n x n matrix over the certificate's field.
+    """
     space = cert.space
     field = space.field
     a, c, b = cert.matrix, cert.basis, cert.block
@@ -461,7 +469,8 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
         checks["symplectic_basis"] = False
     try:
         target = Mat.block_diag(field, [b, b.transpose()])
-        checks["conjugation"] = inverse(c) * a * c == target
+        c_inv = adjoint(space, c) if checks["symplectic_basis"] else inverse(c)
+        checks["conjugation"] = c_inv * a * c == target
     except Exception:
         checks["conjugation"] = False
     if cert.case == "jordan":
@@ -479,7 +488,9 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
         except Exception:
             checks["jordan_form"] = False
     try:
-        checks["charpoly_square"] = charpoly(a) == charpoly(b) ** 2
+        checks["charpoly_square"] = (
+            checks["conjugation"] and b.field == field and b.nrows == b.ncols == space.n
+        ) or charpoly(a) == charpoly(b) ** 2
     except Exception:
         checks["charpoly_square"] = False
     return VerificationReport(checks)

@@ -184,12 +184,6 @@ class Poly:
             e >>= 1
         return result
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by t^k."""
-        if self.is_zero():
-            return self
-        return Poly(self.field, (self.field.zero,) * k + self.coeffs)
-
     def sort_key(self):
         return (self.degree, tuple(self.field.sort_key(c) for c in self.coeffs))
 

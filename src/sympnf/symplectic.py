@@ -99,8 +99,6 @@ def symplectic_complement(space: SymplecticSpace, s: Subspace) -> Subspace:
     """All x with sigma(x, w) = 0 for w in s."""
     if s.ambient_dim != space.dim:
         raise DimensionMismatchError("subspace ambient dimension must be 2n")
-    if s.is_zero():
-        return Subspace.full(space.field, space.dim)
     # sigma(x, w) = x^T O w; rows of the constraint matrix are (O w)^T
     constraints = s.basis_matrix() * space.omega.transpose()
     return kernel(constraints)
@@ -113,7 +111,7 @@ def classify_subspace(space: SymplecticSpace, s: Subspace) -> str:
         return "lagrangian"
     if comp.contains_subspace(s):
         return "isotropic"
-    if s.intersection(comp).is_zero():
+    if s.sum(comp).dim == space.dim:
         return "symplectic"
     return "generic"
 
@@ -127,26 +125,20 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
     normalization making C symplectic under this package's convention.
     """
     _check_square(space, a)
-    field = space.field
-    n = space.n
     for s, name in ((u, "u"), (w, "w")):
         if classify_subspace(space, s) != "lagrangian":
             raise NotLagrangianError(f"{name}-subspace is not lagrangian")
-    if not u.intersection(w).is_zero() or u.dim + w.dim != space.dim:
+    if u.sum(w).dim != space.dim:
         raise NotComplementaryError("subspaces are not complementary")
     for s in (u, w):
         for b in s.basis:
             if not s.contains(a.matvec(b)):
                 raise NotInvariantError("subspace is not invariant under the operator")
-    u_rows = u.basis
-    w_rows = w.basis
-    # pairing[i][j] = sigma(u_i, r_j) for the raw w-basis rows r_j; the
+    # pairing[i][j] = sigma(u_i, r_j) for the RREF rows r_j of w; the
     # lagrangian pairing is nondegenerate, so this is invertible
-    pairing = Mat(field, [[form_eval(space, ui, rj) for rj in w_rows] for ui in u_rows])
-    coeffs = inverse(pairing).transpose()
-    dual_rows = (coeffs * Mat(field, w_rows)).rows
-    cols = list(u_rows) + [dual_rows[j] for j in range(n)]
-    return Mat(field, zip(*cols))
+    um, wm = u.basis_matrix(), w.basis_matrix()
+    dual = inverse(um * space.omega * wm.transpose()).transpose() * wm
+    return Mat.from_raw(space.field, tuple(zip(*(um.raw + dual.raw))))
 
 
 def random_symplectic(space: SymplecticSpace, rng: random.Random, num_factors: int | None = None) -> Mat:

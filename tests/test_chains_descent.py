@@ -92,10 +92,7 @@ def _galois_conjugate(ext, sub):
 
 
 def _restricted(ext, sub):
-    """The base-field points of sub by restriction of scalars.  The annihilator
-    of the whole space has no rows, and a Mat without rows loses its width."""
-    if sub.dim == sub.ambient_dim:
-        return Subspace.full(ext.base, sub.ambient_dim)
+    """The base-field points of sub by restriction of scalars."""
     return restrict_scalars_kernel(sub.annihilator_rows())
 
 

@@ -153,6 +153,17 @@ class TestSubspaces:
             # dim(U+V) + dim(U cap V) = dim U + dim V
             assert s1.sum(s2).dim + inter.dim == s1.dim + s2.dim
 
+    def test_a_matrix_without_rows_keeps_its_width(self):
+        empty = Mat.zeros(F5, 0, 3)
+        assert (empty.nrows, empty.ncols) == (0, 3)
+        assert (empty.transpose().nrows, empty.transpose().ncols) == (3, 0)
+        assert kernel(empty) == Subspace.full(F5, 3)
+        assert Subspace.zero(F5, 3).annihilator_rows() == Mat.identity(F5, 3)
+        full = Subspace.full(F5, 3)
+        assert full.intersection(full) == full
+        # the annihilator of the whole space has no rows
+        assert restrict_scalars_kernel(Subspace.full(F9, 3).annihilator_rows()) == Subspace.full(F3, 3)
+
 
 class TestCharpoly:
     def test_nilpotent_block(self):

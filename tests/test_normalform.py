@@ -424,8 +424,9 @@ class TestOrchestration:
             monkeypatch.setattr(nf, name, counted)
         cert = symplectic_normal_form(SymplecticSpace(F5, 3), a)
         assert cert.case == case
-        # the pipeline runs charpoly once; the verifier runs it on A and on B
-        assert calls == {"factor": 1, "charpoly": 3, "is_self_adjoint": 1}
+        # the pipeline runs charpoly once; the verifier reads charpoly_square
+        # off the conjugation and runs none
+        assert calls == {"factor": 1, "charpoly": 1, "is_self_adjoint": 1}
 
 
 class TestVerifier:

@@ -174,6 +174,15 @@ class TestClassify:
             if classify_subspace(sp, s) == "symplectic":
                 assert classify_subspace(sp, comp) == "symplectic"
 
+    def test_symplectic_iff_it_meets_its_complement_in_zero(self):
+        sp = SymplecticSpace(F3, 3)
+        rng = random.Random(131)
+        for _ in range(40):
+            s = Subspace.from_vectors(F3, sp.dim, [_random_vec(sp, rng) for _ in range(rng.randint(0, 6))])
+            kind = classify_subspace(sp, s)
+            if kind not in ("lagrangian", "isotropic"):
+                assert (kind == "symplectic") == s.intersection(symplectic_complement(sp, s)).is_zero()
+
 
 class TestSymplecticMatrices:
     def test_identity_and_omega(self):
