@@ -23,7 +23,7 @@ from .linalg import (
     kernel,
     mat_poly_eval,
     restrict_operator,
-    restrict_scalars_kernel,
+    restrict_scalars,
     rref,
     solve,
 )

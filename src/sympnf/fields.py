@@ -650,12 +650,6 @@ class ExtensionField:
         """Canonical embedding of a base-field element."""
         return ExtElement(self, (c,) + (self.base.zero,) * (self.degree - 1))
 
-    def lower(self, x: ExtElement):
-        """Section of the embedding; raises if x is not base-rational."""
-        if any(x.coeffs[1:]):
-            raise MixedFieldsError("element does not lie in the base field")
-        return x.coeffs[0]
-
     @property
     def ops(self):
         if self._ops is None:

@@ -42,7 +42,7 @@ __all__ = [
     "restrict_operator",
     "extend_scalars",
     "extend_vector",
-    "restrict_scalars_kernel",
+    "restrict_scalars",
 ]
 
 
@@ -103,7 +103,7 @@ class Mat:
             left, right = (z,) * j, (z,) * (m - j - b.ncols)
             out.extend(left + r + right for r in b.raw)
             j += b.ncols
-        return cls.from_raw(field, tuple(out))
+        return cls.from_raw(field, tuple(out), m)
 
     # -- structure
 
@@ -119,7 +119,8 @@ class Mat:
         return Mat.from_raw(self.field, cols, self.nrows)
 
     def submatrix(self, r0, r1, c0, c1):
-        return Mat.from_raw(self.field, tuple(r[c0:c1] for r in self.raw[r0:r1]))
+        width = len(range(self.ncols)[c0:c1])
+        return Mat.from_raw(self.field, tuple(r[c0:c1] for r in self.raw[r0:r1]), width)
 
     def _check(self, other):
         if not isinstance(other, Mat):
@@ -133,7 +134,9 @@ class Mat:
     def _combine(self, c, other):
         """self + c * other for the raw scalar c."""
         axpy = self.field.ops.axpy
-        return Mat.from_raw(self.field, tuple(tuple(axpy(c, rb, ra)) for ra, rb in zip(self.raw, other.raw)))
+        return Mat.from_raw(
+            self.field, tuple(tuple(axpy(c, rb, ra)) for ra, rb in zip(self.raw, other.raw)), self.ncols
+        )
 
     def __add__(self, other):
         return self._combine(self.field.ops.one, self._check(other))
@@ -145,7 +148,7 @@ class Mat:
     def __neg__(self):
         ops = self.field.ops
         c = ops.neg(ops.one)
-        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
+        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw), self.ncols)
 
     def __mul__(self, other):
         ops = self.field.ops
@@ -154,10 +157,10 @@ class Mat:
             if self.ncols != o.nrows:
                 raise DimensionMismatchError("matrix product shape mismatch")
             dot = ops.dot
-            cols = tuple(zip(*o.raw))
+            cols = tuple(zip(*o.raw)) if o.raw else ((),) * o.ncols
             return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw), o.ncols)
         c = ops.encode(other)
-        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw))
+        return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw), self.ncols)
 
     __rmul__ = __mul__
 
@@ -187,7 +190,7 @@ class Mat:
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.field == other.field and self.raw == other.raw
+        return self.field == other.field and self.ncols == other.ncols and self.raw == other.raw
 
     def __hash__(self):
         return hash(self.raw)
@@ -253,7 +256,7 @@ def rref(a: Mat) -> RrefResult:
     read."""
     rows = list(a.raw)
     pivots = _reduce(a.field.ops, rows, a.ncols)
-    return RrefResult(Mat.from_raw(a.field, tuple(map(tuple, rows))), len(pivots), tuple(pivots), a)
+    return RrefResult(Mat.from_raw(a.field, tuple(map(tuple, rows)), a.ncols), len(pivots), tuple(pivots), a)
 
 
 def _augmented(a: Mat, extra) -> Mat:
@@ -508,24 +511,26 @@ def extend_scalars(a: Mat, ext: ExtensionField) -> Mat:
     if ext.base != a.field:
         raise IncompatibleFieldsError("extension does not contain the matrix field")
     embed = ext.ops.embed
-    return Mat.from_raw(ext, tuple(tuple(map(embed, r)) for r in a.raw))
+    return Mat.from_raw(ext, tuple(tuple(map(embed, r)) for r in a.raw), a.ncols)
 
 
 def extend_vector(v, ext: ExtensionField):
     return tuple(ext.embed(x) for x in v)
 
 
-def restrict_scalars_kernel(eqns: Mat) -> Subspace:
-    """Base-field solution space of an extension-field homogeneous system.
+def restrict_scalars(m: Mat) -> Mat:
+    """Base-field coefficient rows of a matrix over F_{q^e}: a row sum t^i r_i
+    in the power basis becomes the e rows r_0 .. r_{e-1}.
 
-    Each equation over F_{q^e} splits into e base-field equations by
-    coefficient extraction; the unknowns are base-field valued.
+    Its kernel is the base-field solution space of m x = 0; its row span is
+    the set of base-field points of the smallest Galois-stable subspace that
+    holds the rows of m.
     """
-    ext = eqns.field
+    ext = m.field
     if not isinstance(ext, ExtensionField):
-        raise IncompatibleFieldsError("system must be stated over an extension field")
+        raise IncompatibleFieldsError("matrix must be over an extension field")
     coeffs = ext.ops.coeffs
     rows = []
-    for r in eqns.raw:
-        rows.extend(zip(*map(coeffs, r)))
-    return kernel(Mat.from_raw(ext.base, tuple(rows), eqns.ncols))
+    for r in m.raw:
+        rows.extend(zip(*map(coeffs, r)) if r else [()] * ext.degree)
+    return Mat.from_raw(ext.base, tuple(rows), m.ncols)

@@ -5,8 +5,8 @@ seeded instance generation.
 
 A cyclic pair (u, w) is split off by the sigma-projection x -> x + sum
 sigma(x, w_i) u_i - sum sigma(x, u_i) w_i onto its sigma-complement.  Descent
-lowers the RREF basis of a Galois-stable subspace entrywise: Frobenius fixes
-that basis, because a subspace has only one RREF basis.
+restricts scalars: over F_q[t]/(p), the coefficient rows of the chains in the
+power basis span the base-field points of the Galois closure of their span.
 
 Sign bookkeeping: cyclic chains are built with sigma(w_i, u_j) = delta_ij;
 when chains are assembled into a basis matrix C = [u-columns | w-columns]
@@ -25,14 +25,13 @@ from .errors import (
     EigenvaluesNotInFieldError,
     InternalDescentFailureError,
     InvalidCertificateError,
-    MixedFieldsError,
     NotFiniteFieldError,
     NotNilpotentError,
     NotSelfAdjointError,
     UnresolvedFactorError,
     UnsupportedFieldPathError,
 )
-from .fields import ExtensionField, frobenius
+from .fields import ExtensionField
 from .linalg import (
     Mat,
     Subspace,
@@ -41,6 +40,7 @@ from .linalg import (
     inverse,
     kernel,
     mat_poly_eval,
+    restrict_scalars,
     solve,
 )
 from .poly import Factorization, Poly, factor, multi_bezout
@@ -341,49 +341,31 @@ def _split_core(space: SymplecticSpace, a: Mat, roots) -> tuple[Mat, Mat, tuple]
     return _assemble(space, [(lam, _eigen_chains(space, a, lam, m)) for lam, m in roots])
 
 
-def _descend_subspace(ext: ExtensionField, sub: Subspace) -> Subspace:
-    """Base-field rational points of a Galois-stable extension subspace: its
-    RREF basis, whose entries all lie in the base field (module docstring)."""
-    try:
-        rows = [[ext.lower(x) for x in row] for row in sub.basis]
-    except MixedFieldsError as exc:
-        raise InternalDescentFailureError("subspace is not Galois-stable") from exc
-    return Subspace(ext.base, sub.ambient_dim, rows)
-
-
 def _component_lagrangians(space: SymplecticSpace, a: Mat, p: Poly, m: int):
-    """A-invariant lagrangian pair (U, W) inside the primary component of the
-    irreducible factor p of multiplicity m in charpoly(a).
+    """Base-field raw rows spanning an a-invariant lagrangian pair (U, W)
+    inside the primary component of the irreducible factor p of multiplicity
+    m in charpoly(a).
 
-    A factor of degree d > 1 splits over F_{q^d}: the chains of one root
-    there and their Frobenius conjugates span (U, W) over the extension,
-    which then descend to the base field.
+    A factor of degree d > 1 splits over F_{q^d} = F_q[t]/(p).  The chains of
+    its root t there, with their Frobenius conjugates, span (U, W) over the
+    extension, a Galois-stable pair; the coefficient rows of the chains span
+    its base-field points.
     """
     field = space.field
-    d = p.degree
-    if d == 1:
-        ext = field
-        chains = _eigen_chains(space, a, -p.coeffs[0], m)
+    if p.degree == 1:
+        ext, ext_space, op, root = field, space, a, -p.coeffs[0]
     else:
-        if m % 2 != 0:
-            raise InternalDescentFailureError("odd factor multiplicity in a symplectic component")
-        # F_{q^d} = F_q[t]/(p); p is a factor from factor(), so irreducible
+        # p is a factor from factor(), so irreducible
         ext = ExtensionField(field, p.coeffs, check_irreducible=False)
-        chains = _eigen_chains(SymplecticSpace(ext, space.n), extend_scalars(a, ext), ext.gen, m)
-        if 2 * sum(pair.d for pair in chains) != m:
-            raise InternalDescentFailureError("extension eigencomponent has the wrong dimension")
-    q = field.order
-    pair_spans = []
-    for vecs in (
-        [v for pair in chains for v in pair.u_chain],
-        [v for pair in chains for v in pair.w_chain],
-    ):
-        vecs += [tuple(frobenius(x, j, q) for x in v) for j in range(1, d) for v in vecs]
-        span = Subspace.from_vectors(ext, space.dim, vecs)
-        if span.dim != m * d // 2:
-            raise InternalDescentFailureError("transported lagrangian spans have the wrong dimension")
-        pair_spans.append(span if d == 1 else _descend_subspace(ext, span))
-    return tuple(pair_spans)
+        ext_space, op, root = SymplecticSpace(ext, space.n), extend_scalars(a, ext), ext.gen
+    chains = _eigen_chains(ext_space, op, root, m)
+    if 2 * sum(pair.d for pair in chains) != m:
+        raise InternalDescentFailureError("eigencomponent has the wrong dimension")
+    us = Mat(ext, [v for pair in chains for v in pair.u_chain])
+    ws = Mat(ext, [v for pair in chains for v in pair.w_chain])
+    if ext is not field:
+        us, ws = restrict_scalars(us), restrict_scalars(ws)
+    return us.raw, ws.raw
 
 
 def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[Mat, Mat]:
@@ -401,12 +383,15 @@ def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[M
     """descent_normal_form once a is known self-adjoint and fac factors
     charpoly(a); the caller verifies the result."""
     field = space.field
+    n = space.n
     lagrangians = [_component_lagrangians(space, a, p, m) for p, m in fac.factors]
-    u_total = Subspace._span(field, space.dim, [r for u, _ in lagrangians for r in u.raw])
-    w_total = Subspace._span(field, space.dim, [r for _, w in lagrangians for r in w.raw])
+    # n rows in all, so each span has dimension n exactly when its rows are independent
+    u_total = Subspace._span(field, space.dim, [r for u, _ in lagrangians for r in u])
+    w_total = Subspace._span(field, space.dim, [r for _, w in lagrangians for r in w])
+    if u_total.dim != n or w_total.dim != n:
+        raise InternalDescentFailureError("lagrangian spans have the wrong dimension")
     c = darboux_from_lagrangian_pair(space, a, u_total, w_total)
     # c is symplectic, so c^-1 is its adjoint; B is the top-left block of c^-1 a c
-    n = space.n
     return c, adjoint(space, c).submatrix(0, n, 0, 2 * n) * a * c.submatrix(0, 2 * n, 0, n)
 
 

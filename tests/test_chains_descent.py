@@ -1,7 +1,7 @@
 """Reference tests for the cyclic-chain steps and the Galois descent of
 ``normalform``: each step is checked against the subspace algebra it replaces
 (intersection with a sigma-complement, heights by repeated matvec, and the
-restriction of scalars of an annihilator)."""
+Galois closure of a span by Frobenius conjugates)."""
 
 import random
 
@@ -9,16 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympnf.errors import InternalDescentFailureError
-from sympnf.fields import PrimeField, QQ, frobenius
-from sympnf.linalg import Subspace, extend_vector, kernel, restrict_scalars_kernel
+from sympnf.fields import ExtElement, PrimeField, QQ, frobenius
+from sympnf.linalg import Mat, Subspace, extend_vector, kernel, restrict_scalars
 from sympnf.normalform import (
-    _descend_subspace,
     _nilpotent_chains,
     _split_off,
     cyclic_pair,
     random_self_adjoint,
+    symplectic_normal_form,
 )
+from sympnf.poly import Poly
 from sympnf.symplectic import SymplecticSpace, symplectic_complement
 
 from test_raw_values import F9, F81, F101_2, F101_3, elements
@@ -86,47 +86,67 @@ EXTENSIONS = [F9, F101_2, F81, F101_3]
 EXT_IDS = ["F9/F3", "F101^2/F101", "F81/F9", "F101^3/F101"]
 
 
-def _galois_conjugate(ext, sub):
+def _galois_closure(ext, n, vectors):
+    """The extension span of the vectors and all of their Frobenius conjugates."""
     q = ext.base.order
-    return Subspace.from_vectors(ext, sub.ambient_dim, [[frobenius(x, 1, q) for x in r] for r in sub.basis])
-
-
-def _restricted(ext, sub):
-    """The base-field points of sub by restriction of scalars."""
-    return restrict_scalars_kernel(sub.annihilator_rows())
+    conjugates = [[frobenius(x, j, q) for x in v] for j in range(ext.degree) for v in vectors]
+    return Subspace.from_vectors(ext, n, conjugates)
 
 
 @pytest.mark.parametrize("ext", EXTENSIONS, ids=EXT_IDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_descent_reads_the_rref_basis(ext, data):
+    """The coefficient rows of any extension vectors span the base-field points
+    of the Galois closure of their span: the kernel of its restricted
+    annihilator, and the RREF basis of the closure read in the base field."""
     base = ext.base
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(0, n))
     rational = [extend_vector(data.draw(st.lists(elements(base), min_size=n, max_size=n)), ext) for _ in range(k)]
-    mixed = []
+    vectors = list(rational)
     if rational:
         weights = data.draw(st.lists(elements(ext), min_size=k, max_size=k))
-        mixed.append(tuple(sum((w * v[j] for w, v in zip(weights, rational)), ext.zero) for j in range(n)))
-    # the extension span of base-field vectors is Galois-stable
-    stable = Subspace.from_vectors(ext, n, mixed + rational)
-    assert _galois_conjugate(ext, stable) == stable
-    assert _descend_subspace(ext, stable) == _restricted(ext, stable)
-    # one more extension vector: stable or not, as it happens
-    extra = tuple(data.draw(st.lists(elements(ext), min_size=n, max_size=n)))
-    sub = Subspace.from_vectors(ext, n, mixed + rational + [extra])
-    if _galois_conjugate(ext, sub) == sub:
-        assert _descend_subspace(ext, sub) == _restricted(ext, sub)
-    else:
-        with pytest.raises(InternalDescentFailureError):
-            _descend_subspace(ext, sub)
+        vectors.append(tuple(sum((w * v[j] for w, v in zip(weights, rational)), ext.zero) for j in range(n)))
+    extra = data.draw(st.booleans())
+    if extra:
+        vectors.append(tuple(data.draw(st.lists(elements(ext), min_size=n, max_size=n))))
+    closure = _galois_closure(ext, n, vectors)
+    points = kernel(restrict_scalars(closure.annihilator_rows()))
+    assert Subspace.from_vectors(base, n, restrict_scalars(Mat(ext, vectors)).rows) == points
+    # Frobenius maps the RREF basis of the Galois-stable closure to itself
+    assert all(not any(x.coeffs[1:]) for r in closure.basis for x in r)
+    assert Subspace.from_vectors(base, n, [[x.coeffs[0] for x in r] for r in closure.basis]) == points
+    # the extension span of base-field vectors is Galois-stable, and a span's
+    # own base-field points span it exactly when it is Galois-stable
+    span = Subspace.from_vectors(ext, n, vectors)
+    assert extra or span == closure
+    span_points = kernel(restrict_scalars(span.annihilator_rows()))
+    extended = Subspace.from_vectors(ext, n, [extend_vector(v, ext) for v in span_points.basis])
+    assert span.contains_subspace(extended)
+    assert (span_points.dim == span.dim) == (span == closure)
 
 
-@pytest.mark.parametrize("ext", EXTENSIONS, ids=EXT_IDS)
-def test_descent_refuses_a_subspace_that_is_not_galois_stable(ext):
-    line = Subspace.from_vectors(ext, 2, [(ext.one, ext.gen)])
-    assert restrict_scalars_kernel(line.annihilator_rows()).dim < line.dim
-    with pytest.raises(InternalDescentFailureError):
-        _descend_subspace(ext, line)
-    assert _descend_subspace(ext, Subspace.full(ext, 3)) == Subspace.full(ext.base, 3)
-    assert _descend_subspace(ext, Subspace.zero(ext, 3)) == Subspace.zero(ext.base, 3)
+@pytest.mark.parametrize(
+    "field, spec, n",
+    [
+        (F5, [("companion", Poly.from_ints(F5, [2, 0, 1]), (2,)), ("jordan", F5.one, (1,))], 5),
+        (F9, [("companion", Poly.from_ints(F9, [1, -1, 0, 1]), (1,)), ("jordan", F9.gen, (1,))], 4),
+    ],
+    ids=["F5", "F9"],
+)
+def test_descent_raises_no_extension_element_to_a_power(field, spec, n, monkeypatch):
+    """(t^2+2)^2 (t-1) over F_5 and (t^3-t+1)(t-gen) over F_9: the
+    extension chains are restricted to coefficient rows, never conjugated."""
+    space = SymplecticSpace(field, n)
+    a = random_self_adjoint(space, random.Random(0), spec)
+    calls = []
+    power = ExtElement.__pow__
+
+    def counted(x, e):
+        calls.append(e)
+        return power(x, e)
+
+    monkeypatch.setattr(ExtElement, "__pow__", counted)
+    assert symplectic_normal_form(space, a).case == "descent"
+    assert calls == []

@@ -22,7 +22,7 @@ from sympnf.linalg import (
     mat_poly_eval,
     rank,
     restrict_operator,
-    restrict_scalars_kernel,
+    restrict_scalars,
     rref,
     solve,
 )
@@ -162,7 +162,24 @@ class TestSubspaces:
         full = Subspace.full(F5, 3)
         assert full.intersection(full) == full
         # the annihilator of the whole space has no rows
-        assert restrict_scalars_kernel(Subspace.full(F9, 3).annihilator_rows()) == Subspace.full(F3, 3)
+        assert kernel(restrict_scalars(Subspace.full(F9, 3).annihilator_rows())) == Subspace.full(F3, 3)
+
+    def test_a_product_through_width_zero_is_the_zero_matrix(self):
+        prod = Mat.zeros(F5, 2, 0) * Mat.zeros(F5, 0, 3)
+        assert (prod.nrows, prod.ncols) == (2, 3)
+        assert prod == Mat.zeros(F5, 2, 3)
+
+    def test_matrices_without_rows_of_different_widths_differ(self):
+        empty = Mat.zeros(F5, 0, 3)
+        assert empty != Mat.zeros(F5, 0, 0)
+        # arithmetic keeps the width, so equal results compare equal
+        assert -empty == empty + empty == empty * 2 == rref(empty).rref == empty
+
+    def test_a_submatrix_without_rows_keeps_its_width(self):
+        top = Mat.identity(F5, 3).submatrix(0, 0, 0, 3)
+        assert (top.nrows, top.ncols) == (0, 3)
+        assert kernel(top) == Subspace.full(F5, 3)
+        assert Mat.identity(F5, 3).submatrix(0, 0, 1, 3).ncols == 2
 
 
 class TestCharpoly:
@@ -249,7 +266,8 @@ class TestScalarExtension:
         a = Mat.from_ints(F3, [[1, 2], [0, 1]])
         ae = extend_scalars(a, F9)
         assert ae.field is F9
-        assert Mat(F3, [[F9.lower(x) for x in r] for r in ae.rows]) == a
+        # each embedded row r has the coefficient rows r and 0
+        assert restrict_scalars(ae) == Mat(F3, [row for r in a.rows for row in (r, (0, 0))])
 
     def test_extend_wrong_base_rejected(self):
         with pytest.raises(IncompatibleFieldsError):
@@ -266,27 +284,35 @@ class TestScalarExtension:
         p = charpoly(a)
         assert pe == Poly(F9, [F9.embed(c) for c in p.coeffs])
 
+    def test_restrict_scalars_shape_and_field(self):
+        with pytest.raises(IncompatibleFieldsError):
+            restrict_scalars(Mat.identity(F5, 2))
+        assert restrict_scalars(Mat.zeros(F9, 0, 3)) == Mat.zeros(F3, 0, 3)
+        # each row over F_9 becomes two rows, also when it is empty
+        assert restrict_scalars(Mat.zeros(F9, 3, 0)) == Mat.zeros(F3, 6, 0)
+        assert restrict_scalars(Mat.zeros(F9, 3, 2)) == Mat.zeros(F3, 6, 2)
+
     def test_restrict_scalars_single_equation(self):
         # a*x1 + a*x2 = 0 over F_9 splits into x1 + x2 = 0 (twice), solved over F_3
         eqns = Mat(F9, [[F9.gen, F9.gen]])
-        down = restrict_scalars_kernel(eqns)
+        down = kernel(restrict_scalars(eqns))
         assert down.field == F3
         assert down.dim == 1
         assert down.contains((F3.one, F3.from_int(-1)))
 
     def test_restrict_scalars_zero_system_is_full(self):
         eqns = Mat(F9, [[F9.zero, F9.zero]])
-        assert restrict_scalars_kernel(eqns).dim == 2
+        assert kernel(restrict_scalars(eqns)).dim == 2
 
     def test_restrict_scalars_identity_is_zero(self):
         eqns = extend_scalars(Mat.identity(F3, 3), F9)
-        assert restrict_scalars_kernel(eqns).is_zero()
+        assert kernel(restrict_scalars(eqns)).is_zero()
 
     def test_restrict_scalars_membership_agrees(self):
         rng = random.Random(79)
         for _ in range(15):
             eqns = _random_mat(F9, rng, 2, 4)
-            down = restrict_scalars_kernel(eqns)
+            down = kernel(restrict_scalars(eqns))
             ext_kernel = kernel(eqns)
             for row in down.basis:
                 assert ext_kernel.contains(extend_vector(row, F9))
