@@ -86,7 +86,8 @@ def _parse_spec_scalar(field, text: str):
 
 def parse_block_spec(field, text: str):
     """Entries separated by ';'.  Jordan blocks: '<eigenvalue>:[s1,s2]';
-    companion blocks of P^m: 'irr(c0,...,1):[m1,m2]'."""
+    companion blocks of P^m for a monic P of degree >= 1:
+    'irr(c0,...,1):[m1,m2]'."""
     entries = []
     for raw in text.split(";"):
         raw = raw.strip()
@@ -106,7 +107,10 @@ def parse_block_spec(field, text: str):
                 coeffs = [field.from_int(int(c)) for c in head[4:-1].split(",")]
             except ValueError as exc:
                 raise InstanceParseError(f"bad polynomial in {raw!r}") from exc
-            entries.append(("companion", Poly(field, coeffs), sizes))
+            p = Poly(field, coeffs)
+            if p.degree < 1 or p.lc() != field.one:
+                raise InstanceParseError(f"companion polynomial must be monic of degree >= 1 in {raw!r}")
+            entries.append(("companion", p, sizes))
         else:
             entries.append(("jordan", _parse_spec_scalar(field, head), sizes))
     if not entries:

@@ -28,7 +28,7 @@ from .errors import (
     RationalFieldError,
     ReducibleModulusError,
 )
-from .poly import Poly, is_irreducible, poly_xgcd
+from .poly import Poly, is_irreducible, poly_xgcd, power
 
 __all__ = [
     "RationalField",
@@ -344,24 +344,16 @@ def _zech_tables(base, modulus):
     weights = [q0 ** i for i in range(k)]
     xk_pows = _reduced_powers(bops, [bops.encode(c) for c in modulus[:k]])
     one = (bops.one,) + (bops.zero,) * (k - 1)
-
-    def power(a, e):
-        result = one
-        while e:
-            if e & 1:
-                result = _mulmod(bops, xk_pows, result, a)
-            a = _mulmod(bops, xk_pows, a, a)
-            e >>= 1
-        return result
+    mulmod = functools.partial(_mulmod, bops, xk_pows)
 
     primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
     # codes below q0 are base-field constants, of order dividing q0 - 1 < m
     for code in range(q0, m + 1):
         g = tuple(code // w % q0 for w in weights)
-        if all(power(g, m // r) != one for r in primes):
+        if all(power(g, m // r, one, mulmod) != one for r in primes):
             break
     # multiplication by g as a k x k matrix over the base field
-    by_g = list(zip(*(_mulmod(bops, xk_pows, one[-j:] + one[:-j], g) for j in range(k))))
+    by_g = list(zip(*(mulmod(one[-j:] + one[:-j], g) for j in range(k))))
     exp = array("H", bytes(2 * m))
     dot = bops.dot
     x = one
@@ -586,14 +578,7 @@ class ExtElement:
     def __pow__(self, e: int):
         if e < 0:
             return self.field._inv(self) ** (-e)
-        result = self.field.one
-        a = self
-        while e:
-            if e & 1:
-                result = result * a
-            a = a * a
-            e >>= 1
-        return result
+        return power(self, e, self.field.one)
 
     def __eq__(self, other):
         if isinstance(other, ExtElement):

@@ -28,7 +28,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .fields import ExtensionField
-from .poly import Poly
+from .poly import Poly, power
 
 __all__ = [
     "Mat",
@@ -175,14 +175,7 @@ class Mat:
     def __pow__(self, e: int):
         if self.nrows != self.ncols:
             raise NotSquareError("matrix power needs a square matrix")
-        result = Mat.identity(self.field, self.nrows)
-        a = self
-        while e:
-            if e & 1:
-                result = result * a
-            a = a * a
-            e >>= 1
-        return result
+        return power(self, e, Mat.identity(self.field, self.nrows))
 
     def is_zero(self):
         return not any(any(r) for r in self.raw)

@@ -16,6 +16,7 @@ C^T O C = O under the package convention (see symplectic.py).
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 
@@ -126,22 +127,30 @@ class VerificationReport:
 # --- primary decomposition --------------------------------------------------
 
 
-def _resolved_factorization(space: SymplecticSpace, a: Mat, seed: int) -> Factorization:
-    """Factorization of charpoly(a) for a self-adjoint a, with no unresolved part."""
+def _self_adjoint_factorization(space: SymplecticSpace, a: Mat, seed: int, refusal: str) -> Factorization:
+    """factor(charpoly(a)), after refusing a that is not self-adjoint with
+    NotSelfAdjointError(refusal)."""
     if not is_self_adjoint(space, a):
-        raise NotSelfAdjointError("primary decomposition needs a self-adjoint operator")
-    fac = factor(charpoly(a), seed)
-    if fac.unresolved:
-        raise UnresolvedFactorError("characteristic polynomial has an unresolved irreducible factor")
-    return fac
+        raise NotSelfAdjointError(refusal)
+    return factor(charpoly(a), seed)
+
+
+def _roots(fac: Factorization):
+    """[(eigenvalue, multiplicity)] when every factor is linear, else None."""
+    if fac.unresolved or any(p.degree != 1 for p, _ in fac.factors):
+        return None
+    return [(-p.coeffs[0], m) for p, m in fac.factors]
 
 
 def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
     """Split the space into invariant symplectic kernels of P_i(a)^{m_i},
     ordered by the canonical factor key."""
+    fac = _self_adjoint_factorization(space, a, seed, "primary decomposition needs a self-adjoint operator")
+    if fac.unresolved:
+        raise UnresolvedFactorError("characteristic polynomial has an unresolved irreducible factor")
     comps = []
     total = 0
-    for p, m in _resolved_factorization(space, a, seed).factors:
+    for p, m in fac.factors:
         sub = kernel(mat_poly_eval(p ** m, a))
         comps.append(PrimaryComponent(p, m, sub))
         total += sub.dim
@@ -245,6 +254,8 @@ def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion
     while not current.is_zero():
         pair = cyclic_pair(space, g, current, use_recursion)
         chains.append(pair)
+        if 2 * pair.d == current.dim:
+            break  # the pair's 2d independent vectors span current
         current = _split_off(space, current, pair)
     return chains
 
@@ -282,18 +293,19 @@ def companion_matrix(p: Poly) -> Mat:
 def _assemble(space: SymplecticSpace, per_eigenvalue) -> tuple[Mat, Mat, tuple]:
     """Build (C, B, jordan_spec) from [(lam, chains)] in eigenvalue order."""
     field = space.field
-    u_cols, w_cols, blocks, spec = [], [], [], []
-    for lam, chains in per_eigenvalue:
-        sizes = []
+    u_cols, w_cols = [], []
+    for _, chains in per_eigenvalue:
         for pair in chains:
             u_cols.extend(pair.u_chain)
             w_cols.extend(tuple(-x for x in w) for w in pair.w_chain)
-            sizes.append(pair.d)
-            blocks.append(jordan_block(field, lam, pair.d))
-        spec.append((lam, tuple(sizes)))
+    spec = tuple((lam, tuple(pair.d for pair in chains)) for lam, chains in per_eigenvalue)
     c = Mat(field, zip(*(u_cols + w_cols)))
-    b = Mat.block_diag(field, blocks)
-    return c, b, tuple(spec)
+    return c, _jordan_matrix(field, spec), spec
+
+
+def _jordan_matrix(field, jordan_spec) -> Mat:
+    """diag(J(lam, s)) over the (lam, sizes) entries of a jordan_spec."""
+    return build_block_matrix(field, [("jordan", lam, sizes) for lam, sizes in jordan_spec])
 
 
 # --- the three constructive cases -------------------------------------------
@@ -310,28 +322,15 @@ def nilpotent_normal_form(space: SymplecticSpace, a: Mat, use_recursion: bool = 
     return c, b
 
 
-def split_normal_form(space: SymplecticSpace, a: Mat, roots=None, seed: int = 0) -> tuple[Mat, Mat, tuple]:
+def split_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[Mat, Mat, tuple]:
     """Jordan case: all eigenvalues in the base field.
 
-    roots is an optional list of (eigenvalue, multiplicity-in-charpoly(a))
-    pairs; when omitted it is computed by factoring.  Returns (C, B,
-    jordan_spec) with eigenvalues in ascending canonical order and block
-    sizes weakly decreasing within each eigenvalue.
+    Returns (C, B, jordan_spec) with eigenvalues in ascending canonical order
+    and block sizes weakly decreasing within each eigenvalue.
     """
-    field = space.field
-    if not is_self_adjoint(space, a):
-        raise NotSelfAdjointError("operator is not self-adjoint")
+    roots = _roots(_self_adjoint_factorization(space, a, seed, "operator is not self-adjoint"))
     if roots is None:
-        fac = factor(charpoly(a), seed)
-        if fac.unresolved or any(p.degree != 1 for p, _ in fac.factors):
-            raise EigenvaluesNotInFieldError("eigenvalues do not all lie in the base field")
-        roots = [(-p.coeffs[0], m) for p, m in fac.factors]
-    else:
-        prod = Poly.one(field)
-        for lam, m in roots:
-            prod = prod * (Poly.x(field) - Poly.constant(field, lam)) ** m
-        if prod != charpoly(a):
-            raise EigenvaluesNotInFieldError("root list does not match the characteristic polynomial")
+        raise EigenvaluesNotInFieldError("eigenvalues do not all lie in the base field")
     return _split_core(space, a, roots)
 
 
@@ -373,7 +372,9 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
     claim beyond C^-1 A C = diag(B, B^T)."""
     if space.field.kind == "rational":
         raise NotFiniteFieldError("descent requires a finite base field")
-    c, b = _descent_core(space, a, _resolved_factorization(space, a, seed))
+    # factor() is complete over a finite field, so nothing is left unresolved
+    fac = _self_adjoint_factorization(space, a, seed, "primary decomposition needs a self-adjoint operator")
+    c, b = _descent_core(space, a, fac)
     if not verify_certificate(NormalFormCertificate(space, a, c, b, "descent", None)).ok:
         raise InternalDescentFailureError("descent basis did not block-diagonalize the operator")
     return c, b
@@ -400,16 +401,12 @@ def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[M
 
 def symplectic_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> NormalFormCertificate:
     """Dispatch to the splitting or descent case and certify the result."""
-    field = space.field
-    if not is_self_adjoint(space, a):
-        raise NotSelfAdjointError("operator is not self-adjoint")
-    fac = factor(charpoly(a), seed)
-    all_linear = not fac.unresolved and all(p.degree == 1 for p, _ in fac.factors)
-    if all_linear:
-        roots = [(-p.coeffs[0], m) for p, m in fac.factors]
+    fac = _self_adjoint_factorization(space, a, seed, "operator is not self-adjoint")
+    roots = _roots(fac)
+    if roots is not None:
         c, b, spec = _split_core(space, a, roots)
         cert = NormalFormCertificate(space, a, c, b, "jordan", spec)
-    elif field.kind == "rational":
+    elif space.field.kind == "rational":
         raise UnsupportedFieldPathError(
             "rational input with a nonlinear irreducible factor is out of scope"
         )
@@ -419,9 +416,7 @@ def symplectic_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> Nor
     report = verify_certificate(cert)
     if not report.ok:
         raise InternalDescentFailureError(f"pipeline produced an invalid certificate: {report.checks}")
-    return NormalFormCertificate(
-        cert.space, cert.matrix, cert.basis, cert.block, cert.case, cert.jordan_spec, dict(report.checks)
-    )
+    return dataclasses.replace(cert, checks=dict(report.checks))
 
 
 def _spec_orderly(field, spec) -> bool:
@@ -465,10 +460,7 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
             if any(s < 1 for s in claimed) or sum(claimed) != space.n:
                 checks["jordan_form"] = False
             else:
-                expected = Mat.block_diag(
-                    field,
-                    [jordan_block(field, lam, s) for lam, sizes in cert.jordan_spec for s in sizes],
-                )
+                expected = _jordan_matrix(field, cert.jordan_spec)
                 checks["jordan_form"] = b == expected and _spec_orderly(field, cert.jordan_spec)
         except Exception:
             checks["jordan_form"] = False

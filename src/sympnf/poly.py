@@ -11,6 +11,7 @@ slot of the Factorization rather than as an error.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -30,6 +31,24 @@ __all__ = [
     "is_irreducible",
     "factor",
 ]
+
+
+def power(x, e: int, one, mul=operator.mul):
+    """x ** e for an integer e >= 0 by square-and-multiply under mul.
+
+    e = 0 gives one; one is never multiplied, and x is squared only while
+    bits of e remain, so x ** 1 costs no product and x ** 2 one.
+    """
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else mul(result, x)
+        e >>= 1
+        if not e:
+            return one if result is None else result
+        x = mul(x, x)
 
 
 class Poly:
@@ -123,14 +142,7 @@ class Poly:
     __rmul__ = __mul__
 
     def __pow__(self, e: int):
-        result = Poly.one(self.field)
-        a = self
-        while e:
-            if e & 1:
-                result = result * a
-            a = a * a
-            e >>= 1
-        return result
+        return power(self, e, Poly.one(self.field))
 
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         """Euclidean division: self = q * other + r with deg r < deg other."""
@@ -175,14 +187,7 @@ class Poly:
         return acc
 
     def pow_mod(self, e: int, m: "Poly") -> "Poly":
-        result = Poly.one(self.field)
-        a = self % m
-        while e:
-            if e & 1:
-                result = (result * a) % m
-            a = (a * a) % m
-            e >>= 1
-        return result
+        return power(self % m, e, Poly.one(self.field) % m, lambda a, b: a * b % m)
 
     def sort_key(self):
         return (self.degree, tuple(self.field.sort_key(c) for c in self.coeffs))

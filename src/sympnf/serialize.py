@@ -51,6 +51,23 @@ def encode_scalar(field, x):
 _RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
+def _decode_int(s) -> int:
+    """An integer written as encode_scalar writes it, -?[0-9]+, or as a JSON
+    integer.  int() would also truncate floats, read booleans as 0 and 1, and
+    take spaces, '+', '_' and non-ASCII digits."""
+    if type(s) is str and s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit()):
+        return int(s)
+    if type(s) is int:  # not a bool
+        return s
+    raise InstanceParseError(f"bad integer {s!r}")
+
+
+def _decode_ints(s) -> list[int]:
+    if not isinstance(s, list):
+        raise InstanceParseError(f"expected a list of integers, got {s!r}")
+    return [_decode_int(x) for x in s]
+
+
 def decode_scalar(field, s):
     try:
         if isinstance(field, RationalField):
@@ -60,8 +77,10 @@ def decode_scalar(field, s):
             num, den = m.groups()
             return Fraction(int(num), int(den or 1))
         if isinstance(field, PrimeField):
-            return field.from_int(int(s))
+            return field.from_int(_decode_int(s))
         if isinstance(field, ExtensionField):
+            if not isinstance(s, list):
+                raise InstanceParseError(f"bad scalar encoding {s!r}: expected a coefficient list")
             coeffs = [decode_scalar(field.base, c) for c in s]
             if len(coeffs) != field.degree:
                 raise InstanceParseError(f"expected {field.degree} coefficients, got {len(coeffs)}")
@@ -121,9 +140,9 @@ def field_from_json(obj):
         if kind == "rational":
             return QQ
         if kind == "prime":
-            return make_field("prime", p=int(obj["p"]))
+            return make_field("prime", p=_decode_int(obj["p"]))
         if kind == "extension":
-            return make_field("extension", p=int(obj["p"]), modulus=[int(c) for c in obj["modulus"]])
+            return make_field("extension", p=_decode_int(obj["p"]), modulus=_decode_ints(obj["modulus"]))
     except InstanceParseError:
         raise
     except Exception as exc:
@@ -145,7 +164,7 @@ def instance_to_json(space: SymplecticSpace, a: Mat) -> dict:
 def instance_from_json(obj) -> tuple[SymplecticSpace, Mat]:
     try:
         field = field_from_json(obj["field"])
-        n = int(obj["n"])
+        n = _decode_int(obj["n"])
         rows = obj["matrix"]
     except InstanceParseError:
         raise
@@ -184,7 +203,7 @@ def certificate_to_json(cert: NormalFormCertificate) -> dict:
 def certificate_from_json(obj) -> NormalFormCertificate:
     try:
         field = field_from_json(obj["field"])
-        n = int(obj["n"])
+        n = _decode_int(obj["n"])
         a = _decode_shaped(field, obj["A"], 2 * n, 2 * n, "A")
         c = _decode_shaped(field, obj["C"], 2 * n, 2 * n, "C")
         b = _decode_shaped(field, obj["B"], n, n, "B")
@@ -193,7 +212,7 @@ def certificate_from_json(obj) -> NormalFormCertificate:
         spec = obj.get("jordan_spec")
         if spec is not None:
             spec = tuple(
-                (decode_scalar(field, e["eigenvalue"]), tuple(int(s) for s in e["sizes"]))
+                (decode_scalar(field, e["eigenvalue"]), tuple(_decode_ints(e["sizes"])))
                 for e in spec
             )
     except InstanceParseError:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sympnf.fields import ExtElement, PrimeField, QQ, frobenius
 from sympnf.linalg import Mat, Subspace, extend_vector, kernel, restrict_scalars
+import sympnf.normalform as nf
 from sympnf.normalform import (
     _nilpotent_chains,
     _split_off,
@@ -150,3 +151,22 @@ def test_descent_raises_no_extension_element_to_a_power(field, spec, n, monkeypa
     monkeypatch.setattr(ExtElement, "__pow__", counted)
     assert symplectic_normal_form(space, a).case == "descent"
     assert calls == []
+
+
+def test_the_last_pair_of_each_eigenvalue_is_not_split_off(monkeypatch):
+    """A pair that fills what is left of its eigenspace needs no
+    sigma-projection: 4 pairs over 2 eigenvalues make 2 split-offs."""
+    space = SymplecticSpace(F5, 5)
+    spec = [("jordan", F5.one, (2, 1)), ("jordan", F5.from_int(3), (1, 1))]
+    a = random_self_adjoint(space, random.Random(5), spec)
+    split_off = nf._split_off
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return split_off(*args)
+
+    monkeypatch.setattr(nf, "_split_off", counted)
+    cert = symplectic_normal_form(space, a)
+    assert cert.jordan_spec == ((F5.one, (2, 1)), (F5.from_int(3), (1, 1)))
+    assert len(calls) == 4 - 2

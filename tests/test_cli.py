@@ -91,6 +91,36 @@ class TestSerialization:
         assert dumps_canonical(obj) == dumps_canonical({"a": [2, 3], "b": 1})
         assert dumps_canonical(obj).endswith("\n")
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            (F5, 1.9), (F5, 2.0), (F5, True), (F5, " 1"), (F5, "+1"), (F5, "1_0"), (F5, "\u0661"),
+            (F9, [1.9, 0]), (F9, "10"),
+        ],
+        ids=[
+            "float", "integral-float", "bool", "space", "plus", "underscore", "non-ascii-digit",
+            "float-coefficient", "string-vector",
+        ],
+    )
+    def test_finite_field_scalars_take_only_the_encoded_forms(self, field, value):
+        with pytest.raises(InstanceParseError):
+            decode_scalar(field, value)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            {"kind": "prime", "p": 5.5},
+            {"kind": "extension", "p": "3", "modulus": [True, 0, True]},
+            {"kind": "extension", "p": 3.7, "modulus": ["1", "0", "1"]},
+            {"kind": "extension", "p": "3", "modulus": ["1", "0", 1.5]},
+            {"kind": "extension", "p": "3", "modulus": "101"},
+        ],
+        ids=["float-p", "bool-modulus", "float-extension-p", "float-modulus", "string-modulus"],
+    )
+    def test_field_descriptors_take_only_integers(self, obj):
+        with pytest.raises(InstanceParseError):
+            field_from_json(obj)
+
     def test_malformed_instances_rejected(self):
         with pytest.raises(InstanceParseError):
             instance_from_json({"field": {"kind": "prime", "p": "5"}, "n": 1, "matrix": [[
@@ -141,6 +171,11 @@ class TestFlagParsing:
     )
     def test_bad_spec_eigenvalue_is_a_parse_error(self, field_flag, spec):
         assert main(["random", "--field", field_flag, "--spec", spec]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("spec", ["irr(1):[1]", "irr(1):[1];1:[1]", "irr(0):[1];1:[2]", "irr(2,0,2):[1]"])
+    def test_companion_polynomials_are_monic_of_positive_degree(self, spec, capsys):
+        assert main(["random", "--field", "prime:5", "--spec", spec]) == EXIT_PARSE
+        assert "monic of degree >= 1" in capsys.readouterr().err
 
     def test_rationals_take_only_the_encoded_forms(self):
         assert decode_scalar(QQ, "-12/8") == Fraction(-3, 2)
@@ -198,6 +233,16 @@ class TestCliExitCodes:
     def test_parse_error_on_matrix_row_that_is_not_a_list(self, tmp_path):
         text = '{"field": {"kind": "prime", "p": "5"}, "n": 1, "matrix": [1, 2]}'
         assert main(["check", _write(tmp_path, "a.json", text)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["check", "normal-form"])
+    @pytest.mark.parametrize(
+        "n,matrix",
+        [(1, [[1.9, 0], [0, True]]), (1.5, [["1", "0"], ["0", "1"]])],
+        ids=["float-and-bool-entries", "float-n"],
+    )
+    def test_parse_error_on_an_instance_number_that_is_not_an_integer(self, tmp_path, command, n, matrix):
+        text = json.dumps({"field": {"kind": "prime", "p": "5"}, "n": n, "matrix": matrix})
+        assert main([command, _write(tmp_path, "a.json", text)]) == EXIT_PARSE
 
     def test_parse_error_on_characteristic_beyond_exact_primality(self):
         # a strong pseudoprime to every Miller-Rabin base the library uses
@@ -271,8 +316,17 @@ class TestCliPipeline:
             lambda d: d["jordan_spec"][0].pop("sizes"),
             lambda d: d.update(jordan_spec=5),
             lambda d: d.update(n="1000000000"),
+            # each would read as the certificate itself if truncated by int()
+            lambda d: d["A"][0].__setitem__(slice(None), [int(x) + 0.7 for x in d["A"][0]]),
+            lambda d: d.update(n=d["n"] + 0.9),
+            lambda d: d["jordan_spec"][0].update(sizes=[s + 0.4 for s in d["jordan_spec"][0]["sizes"]]),
+            lambda d: d["jordan_spec"][0].update(sizes=[True]),
+            lambda d: d["jordan_spec"][0].update(sizes="1"),
         ],
-        ids=["ragged-C", "ragged-B", "spec-without-sizes", "spec-not-a-list", "huge-n"],
+        ids=[
+            "ragged-C", "ragged-B", "spec-without-sizes", "spec-not-a-list", "huge-n",
+            "float-A-row", "float-n", "float-size", "bool-size", "string-sizes",
+        ],
     )
     def test_malformed_certificate_is_a_parse_error(self, tmp_path, capsys, mutate):
         _, cert, _ = self._roundtrip(tmp_path, capsys, "prime:5", "2:[1];1:[1]")

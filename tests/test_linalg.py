@@ -182,6 +182,25 @@ class TestSubspaces:
         assert Mat.identity(F5, 3).submatrix(0, 0, 1, 3).ncols == 2
 
 
+def test_matrix_power_multiplies_only_while_bits_remain(monkeypatch):
+    """No product by the identity and no square after the last bit."""
+    a = Mat.from_ints(F5, [[1, 2], [3, 4]])
+    product = Mat.__mul__
+    calls = []
+
+    def counted(x, y):
+        calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    counts = []
+    for e in range(6):
+        calls.clear()
+        a ** e
+        counts.append(len(calls))
+    assert counts == [0, 0, 1, 2, 2, 3]
+
+
 class TestCharpoly:
     def test_nilpotent_block(self):
         assert charpoly(Mat.from_ints(QQ, [[0, 1], [0, 0]])) == Poly.from_ints(QQ, [0, 0, 1])

@@ -279,12 +279,6 @@ class TestSplitNormalForm:
         with pytest.raises(EigenvaluesNotInFieldError):
             split_normal_form(sp, a)
 
-    def test_rejects_wrong_root_list(self):
-        sp = SymplecticSpace(QQ, 1)
-        a = Mat.identity(QQ, 2)
-        with pytest.raises(EigenvaluesNotInFieldError):
-            split_normal_form(sp, a, roots=[(Fraction(2), 2)])
-
     def test_eigenvalue_order_and_size_order(self):
         rng = random.Random(239)
         sp = SymplecticSpace(F5, 4)

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympnf.errors import DivisionByZeroError, NotCoprimeError
 from sympnf.fields import PrimeField, QQ, make_field
+from sympnf.linalg import Mat
 from sympnf.poly import (
     Poly,
     factor,
@@ -13,8 +18,11 @@ from sympnf.poly import (
     multi_bezout,
     poly_gcd,
     poly_xgcd,
+    power,
     squarefree_decomposition,
 )
+
+from test_raw_values import F101_3, elements
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -260,3 +268,47 @@ def test_factor_order_is_canonical():
         f = parts[0] * parts[1] * parts[2]
         fac = factor(f)
         assert [g for g, _ in fac.factors] == [t, t + one, t + one * 4]
+
+
+# --- one square-and-multiply -------------------------------------------------
+
+
+def _squares(field, n):
+    return st.lists(st.lists(elements(field), min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda rows: Mat(field, rows)
+    )
+
+
+def _polys(field):
+    return st.lists(elements(field), min_size=1, max_size=4).map(lambda c: Poly(field, c))
+
+
+POWER_CASES = {
+    "Mat/QQ": (_squares(QQ, 2), lambda x: Mat.identity(QQ, 2)),
+    "Mat/F101": (_squares(F101, 3), lambda x: Mat.identity(F101, 3)),
+    "Poly/F101": (_polys(F101), lambda x: Poly.one(F101)),
+    "ExtElement/F9": (elements(F9), lambda x: F9.one),
+    "ExtElement/F101^3": (elements(F101_3), lambda x: F101_3.one),
+}
+
+
+@pytest.mark.parametrize("case", list(POWER_CASES))
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), e=st.integers(0, 40))
+def test_power_is_the_e_fold_product(case, data, e):
+    values, one = POWER_CASES[case]
+    x = data.draw(values)
+    expected = reduce(mul, [x] * e, one(x))
+    assert x ** e == expected
+    assert power(x, e, one(x)) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(x=_polys(F101), m=_polys(F101).filter(lambda m: not m.is_zero()), e=st.integers(0, 40))
+def test_pow_mod_is_the_power_reduced(x, m, e):
+    assert x.pow_mod(e, m) == (x ** e) % m
+
+
+def test_power_refuses_a_negative_exponent():
+    with pytest.raises(ValueError):
+        power(Poly.x(F5), -1, Poly.one(F5))

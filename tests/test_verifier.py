@@ -19,7 +19,7 @@ from sympnf.linalg import Mat, charpoly, inverse
 from sympnf.normalform import (
     NormalFormCertificate,
     VerificationReport,
-    _resolved_factorization,
+    _self_adjoint_factorization,
     _spec_orderly,
     descent_normal_form,
     jordan_block,
@@ -190,7 +190,7 @@ def _descent_instance():
 
 def test_descent_core_neither_inverts_nor_compares_blocks(monkeypatch):
     space, a = _descent_instance()
-    fac = _resolved_factorization(space, a, 0)
+    fac = _self_adjoint_factorization(space, a, 0, "not self-adjoint")
 
     def refused(*args):
         raise AssertionError("called")
