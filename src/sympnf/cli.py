@@ -43,7 +43,8 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers past the digit limit
         raise InstanceParseError(f"cannot read {path}: {exc}") from exc
 
 

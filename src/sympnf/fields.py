@@ -701,9 +701,15 @@ def make_field(kind: str, p: int | None = None, modulus=None):
     if kind == "prime":
         return PrimeField(p)
     if kind == "extension":
-        base = PrimeField(p)
-        return ExtensionField(base, [base.from_int(c) for c in modulus])
+        return _extension_field(p, tuple(modulus))
     raise NonPrimeModulusError(f"unknown field kind {kind!r}")
+
+
+@functools.lru_cache(maxsize=16)
+def _extension_field(p: int, modulus: tuple) -> ExtensionField:
+    """One field object, and so one set of Zech tables, per descriptor."""
+    base = PrimeField(p)
+    return ExtensionField(base, [base.from_int(c) for c in modulus])
 
 
 def frobenius(x, iterate: int = 1, base_order: int | None = None):

@@ -50,6 +50,7 @@ from .symplectic import (
     adjoint,
     darboux_from_lagrangian_pair,
     form_eval,
+    gram,
     is_self_adjoint,
     is_symplectic_matrix,
     random_symplectic,
@@ -180,8 +181,7 @@ def self_adjoint_projections(space: SymplecticSpace, a: Mat, fac: Factorization)
 def _solve_in_subspace(space: SymplecticSpace, s: Subspace, targets, rhs):
     """Canonical w in s with sigma(w, targets[i]) = rhs[i]."""
     basis = s.basis_matrix()
-    gram = Mat(space.field, targets) * space.omega.transpose() * basis.transpose()
-    return (Mat(space.field, [solve(gram, rhs)]) * basis).rows[0]
+    return (Mat(space.field, [solve(gram(basis, Mat(space.field, targets)).transpose(), rhs)]) * basis).rows[0]
 
 
 def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool = False) -> CyclicPair:
@@ -230,9 +230,9 @@ def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool
 
 
 def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
-    """P O P^T = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic."""
+    """gram(P, P) = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic."""
     p = Mat(space.field, pair.u_chain + pair.w_chain)
-    if p * space.omega * p.transpose() != -SymplecticSpace(space.field, pair.d).omega:
+    if gram(p, p) != -SymplecticSpace(space.field, pair.d).omega:
         raise InternalDescentFailureError("chain pair is not sigma-dual with isotropic chains")
 
 
@@ -242,8 +242,7 @@ def _split_off(space: SymplecticSpace, current: Subspace, pair: CyclicPair) -> S
     field = space.field
     u, w = Mat(field, pair.u_chain), Mat(field, pair.w_chain)
     x = current.basis_matrix()
-    xo = x * space.omega  # row r, column j: sigma(x_r, e_j)
-    proj = x + xo * w.transpose() * u - xo * u.transpose() * w
+    proj = x + gram(x, w) * u - gram(x, u) * w
     return Subspace._span(field, space.dim, proj.raw)
 
 
@@ -535,4 +534,4 @@ def random_self_adjoint(space: SymplecticSpace, rng: random.Random, spec) -> Mat
         raise BadSpecError(f"block spec has total dimension {b.nrows}, expected n={space.n}")
     a0 = Mat.block_diag(field, [b, b.transpose()])
     c = random_symplectic(space, rng)
-    return c * a0 * inverse(c)
+    return c * a0 * adjoint(space, c)

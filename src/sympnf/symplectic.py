@@ -8,6 +8,10 @@ sigma(x, y) = x^T O y with O = [[0, I], [-I, 0]], so the standard basis
 (e_1..e_n, e_{n+1}..e_{2n}) is a Darboux basis with sigma(e_i, e_{n+i}) = 1
 and a basis matrix C = [u | w] is Darboux exactly when C^T O C = O, i.e.
 when sigma(u_i, w_j) = delta_ij.
+
+Only this module knows the layout of O: O m is a signed swap of the halves
+of m (``_omega_times``), never a product, every sigma-value comes from
+``gram``, and ``SymplecticSpace.omega`` builds the dense O on read.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import (
     NotInvariantError,
     NotLagrangianError,
 )
-from .linalg import Mat, Subspace, inverse, kernel
+from .linalg import Mat, Subspace, inverse, kernel, rref
 
 __all__ = [
     "SymplecticSpace",
@@ -38,38 +42,42 @@ __all__ = [
 class SymplecticSpace:
     """Dimension 2n with the standard block form."""
 
-    __slots__ = ("field", "n", "omega")
+    __slots__ = ("field", "n")
 
     def __init__(self, field, n: int):
         if n < 1:
             raise DimensionMismatchError("n must be positive")
         self.field = field
         self.n = n
-        z, o = field.zero, field.one
-        dim = 2 * n
-        rows = [[z] * dim for _ in range(dim)]
-        for i in range(n):
-            rows[i][n + i] = o
-            rows[n + i][i] = -o
-        self.omega = Mat(field, rows)
 
     @property
     def dim(self):
         return 2 * self.n
 
+    @property
+    def omega(self) -> Mat:
+        return _omega_times(Mat.identity(self.field, self.dim))
+
     def __repr__(self):
         return f"SymplecticSpace(n={self.n}, field={self.field!r})"
+
+
+def _omega_times(m: Mat) -> Mat:
+    """O m: the bottom half of the rows of m over the negated top half."""
+    n = m.nrows // 2
+    return Mat.from_raw(m.field, m.raw[n:] + (-m.submatrix(0, n, 0, m.ncols)).raw, m.ncols)
+
+
+def gram(x: Mat, y: Mat) -> Mat:
+    """X O Y^T, the matrix of sigma(x_i, y_j) over the rows of x and y."""
+    return x * _omega_times(y.transpose())
 
 
 def form_eval(space: SymplecticSpace, x, y):
     """sigma(x, y) = x^T O y, exact."""
     if len(x) != space.dim or len(y) != space.dim:
         raise DimensionMismatchError("vectors must have length 2n")
-    n = space.n
-    ops = space.field.ops
-    x = tuple(map(ops.encode, x))
-    y = tuple(map(ops.encode, y))
-    return ops.decode(ops.add(ops.dot(x[:n], y[n:]), ops.neg(ops.dot(x[n:], y[:n]))))
+    return gram(Mat(space.field, [x]), Mat(space.field, [y])).rows[0][0]
 
 
 def _check_square(space, a):
@@ -78,42 +86,40 @@ def _check_square(space, a):
 
 
 def adjoint(space: SymplecticSpace, a: Mat) -> Mat:
-    """The unique g with sigma(g x, y) = sigma(x, a y); equals -O A^T O."""
+    """The unique g with sigma(g x, y) = sigma(x, a y): -O A^T O = O (O A)^T."""
     _check_square(space, a)
-    return -(space.omega * a.transpose() * space.omega)
+    return _omega_times(_omega_times(a).transpose())
 
 
 def is_self_adjoint(space: SymplecticSpace, a: Mat) -> bool:
-    """Exact predicate A^T O = O A."""
+    """Exact predicate A^T O = O A, i.e. O A is skew-symmetric."""
     _check_square(space, a)
-    return a.transpose() * space.omega == space.omega * a
+    oa = _omega_times(a)
+    return oa.transpose() == -oa
 
 
 def is_symplectic_matrix(space: SymplecticSpace, c: Mat) -> bool:
     """Exact predicate C^T O C = O."""
     _check_square(space, c)
-    return c.transpose() * space.omega * c == space.omega
+    return c.transpose() * _omega_times(c) == space.omega
 
 
 def symplectic_complement(space: SymplecticSpace, s: Subspace) -> Subspace:
     """All x with sigma(x, w) = 0 for w in s."""
     if s.ambient_dim != space.dim:
         raise DimensionMismatchError("subspace ambient dimension must be 2n")
-    # sigma(x, w) = x^T O w; rows of the constraint matrix are (O w)^T
-    constraints = s.basis_matrix() * space.omega.transpose()
-    return kernel(constraints)
+    # sigma(x, w) = (O w)^T x, so the constraint rows are the columns of O S^T
+    return kernel(_omega_times(s.basis_matrix().transpose()).transpose())
 
 
 def classify_subspace(space: SymplecticSpace, s: Subspace) -> str:
-    """One of 'lagrangian', 'isotropic', 'symplectic', 'generic'."""
-    comp = symplectic_complement(space, s)
-    if s == comp:
-        return "lagrangian"
-    if comp.contains_subspace(s):
-        return "isotropic"
-    if s.sum(comp).dim == space.dim:
-        return "symplectic"
-    return "generic"
+    """One of 'lagrangian', 'isotropic', 'symplectic', 'generic', by gram(s, s)."""
+    if s.ambient_dim != space.dim:
+        raise DimensionMismatchError("subspace ambient dimension must be 2n")
+    g = gram(s.basis_matrix(), s.basis_matrix())
+    if g.is_zero():
+        return "lagrangian" if s.dim == space.n else "isotropic"
+    return "symplectic" if rref(g).rank == s.dim else "generic"
 
 
 def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w: Subspace) -> Mat:
@@ -134,23 +140,18 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
         for b in s.basis:
             if not s.contains(a.matvec(b)):
                 raise NotInvariantError("subspace is not invariant under the operator")
-    # pairing[i][j] = sigma(u_i, r_j) for the RREF rows r_j of w; the
-    # lagrangian pairing is nondegenerate, so this is invertible
+    # sigma pairs complementary lagrangians nondegenerately, so the gram is invertible
     um, wm = u.basis_matrix(), w.basis_matrix()
-    dual = inverse(um * space.omega * wm.transpose()).transpose() * wm
+    dual = inverse(gram(um, wm)).transpose() * wm
     return Mat.from_raw(space.field, tuple(zip(*(um.raw + dual.raw))))
 
 
-def random_symplectic(space: SymplecticSpace, rng: random.Random, num_factors: int | None = None) -> Mat:
+def random_symplectic(space: SymplecticSpace, rng: random.Random) -> Mat:
     """Product of a seeded random word in the standard symplectic generators:
     diag(S, S^-T), upper and lower unipotent blocks with symmetric off-block,
     and the form matrix itself.  Always passes is_symplectic_matrix."""
-    field = space.field
-    n = space.n
-    if num_factors is None:
-        num_factors = rng.randint(2, 5)
-    c = Mat.identity(field, 2 * n)
-    for _ in range(num_factors):
+    c = Mat.identity(space.field, space.dim)
+    for _ in range(rng.randint(2, 5)):
         c = c * _random_generator(space, rng)
     return c
 

@@ -86,6 +86,15 @@ class TestSerialization:
         assert cert2.case == cert.case
         assert cert2.jordan_spec == cert.jordan_spec
 
+    def test_certificates_over_one_modulus_share_one_field(self):
+        sp = SymplecticSpace(F9, 1)
+        docs = [
+            certificate_to_json(symplectic_normal_form(sp, random_self_adjoint(sp, random.Random(s), [("jordan", lam, (1,))])))
+            for s, lam in ((1, F9.one), (2, F9.gen))
+        ]
+        first, second = (certificate_from_json(d).space.field for d in docs)
+        assert first is second
+
     def test_canonical_json_is_stable(self):
         obj = {"b": 1, "a": [2, 3]}
         assert dumps_canonical(obj) == dumps_canonical({"a": [2, 3], "b": 1})
@@ -243,6 +252,17 @@ class TestCliExitCodes:
     def test_parse_error_on_an_instance_number_that_is_not_an_integer(self, tmp_path, command, n, matrix):
         text = json.dumps({"field": {"kind": "prime", "p": "5"}, "n": n, "matrix": matrix})
         assert main([command, _write(tmp_path, "a.json", text)]) == EXIT_PARSE
+
+    @pytest.mark.parametrize("command", ["check", "normal-form", "verify"])
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b'{"n": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf-8", "nested-100000-deep", "5000-digit-integer"],
+    )
+    def test_parse_error_on_a_file_json_cannot_decode(self, tmp_path, command, content):
+        path = tmp_path / "a.json"
+        path.write_bytes(content)
+        assert main([command, str(path)]) == EXIT_PARSE
 
     def test_parse_error_on_characteristic_beyond_exact_primality(self):
         # a strong pseudoprime to every Miller-Rabin base the library uses

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sympnf.errors import (
     NotComplementaryError,
@@ -9,13 +11,15 @@ from sympnf.errors import (
     NotLagrangianError,
 )
 from sympnf.fields import PrimeField, QQ, make_field
-from sympnf.linalg import Mat, Subspace, inverse
+from sympnf.linalg import Mat, Subspace, inverse, kernel
 from sympnf.symplectic import (
     SymplecticSpace,
+    _omega_times,
     adjoint,
     classify_subspace,
     darboux_from_lagrangian_pair,
     form_eval,
+    gram,
     is_self_adjoint,
     is_symplectic_matrix,
     random_symplectic,
@@ -275,3 +279,62 @@ class TestDarbouxFromPair:
         w = Subspace.from_vectors(QQ, 2, [_e(sp, 1)])
         with pytest.raises(NotInvariantError):
             darboux_from_lagrangian_pair(sp, a, u, w)
+
+
+def _dense_omega(field, n):
+    """[[0, I], [-I, 0]], written out from its definition."""
+    rows = [[field.zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = field.one
+        rows[n + i][i] = -field.one
+    return Mat(field, rows)
+
+
+def _dense_class(s, comp, dim):
+    if s == comp:
+        return "lagrangian"
+    if comp.contains_subspace(s):
+        return "isotropic"
+    return "symplectic" if s.sum(comp).dim == dim else "generic"
+
+
+def _expected_class(picked, n):
+    """Class of the span of the columns `picked` of a Darboux basis, where
+    sigma(c_i, c_{n+j}) = delta_ij pairs column i with column n + i."""
+    us = {j for j in picked if j < n}
+    ws = {j - n for j in picked if j >= n}
+    if not us & ws:
+        return "lagrangian" if len(picked) == n else "isotropic"
+    return "symplectic" if us == ws else "generic"
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([QQ, F5, F9]), st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_the_form_as_a_swap_agrees_with_dense_products(field, n, seed):
+    rng = random.Random(seed)
+    sp = SymplecticSpace(field, n)
+    dim = 2 * n
+    o = _dense_omega(field, n)
+    assert sp.omega == o
+    a = _random_mat(field, rng, dim)
+    x, y = (Mat(field, [_random_vec(sp, rng) for _ in range(rng.randint(1, dim))]) for _ in range(2))
+    assert _omega_times(a) == o * a
+    assert gram(x, y) == x * o * y.transpose()
+    assert adjoint(sp, a) == -(o * a.transpose() * o)
+    c = random_symplectic(sp, rng)
+    for m in (a, a + adjoint(sp, a), c):
+        assert is_self_adjoint(sp, m) == (m.transpose() * o == o * m)
+        assert is_symplectic_matrix(sp, m) == (m.transpose() * o * m == o)
+    assert is_self_adjoint(sp, a + adjoint(sp, a)) and is_symplectic_matrix(sp, c)
+    # spans of Darboux columns, one of each class, and a span of random vectors
+    picks = [[j for j in range(dim) if rng.random() < 0.5], range(n), range(n - 1), (0, n)]
+    if n > 1:
+        picks.append((0, 1, n))
+    spans = [(Subspace.from_vectors(field, dim, [c.col(j) for j in p]), _expected_class(p, n)) for p in picks]
+    spans.append((Subspace.from_vectors(field, dim, [_random_vec(sp, rng) for _ in range(rng.randint(0, dim))]), None))
+    for s, expected in spans:
+        comp = kernel(s.basis_matrix() * o.transpose())
+        assert symplectic_complement(sp, s) == comp
+        kind = classify_subspace(sp, s)
+        assert kind == _dense_class(s, comp, dim)
+        assert expected in (None, kind)

@@ -165,12 +165,28 @@ def test_a_block_over_another_field_is_not_a_charpoly_square():
 
 @pytest.mark.parametrize("field", [F5, F9, QQ], ids=["F5", "F9", "QQ"])
 def test_pipeline_certificate_is_verified_without_elimination_or_charpoly(monkeypatch, field):
+    """Verifying takes three products: C^T (O C), then C^-1 A C.  No product
+    in certify or verify has a form matrix O_d as an operand."""
     space = SymplecticSpace(field, 3)
     lam = field.from_int(2)
     spec = [("jordan", lam, (2, 1))]
     if field is not QQ:
         spec = [("companion", QUADRATIC[field], (1,)), ("jordan", lam, (1,))]
-    cert = symplectic_normal_form(space, random_self_adjoint(space, random.Random(17), spec))
+    a = random_self_adjoint(space, random.Random(17), spec)
+    product = Mat.__mul__
+    products = []
+
+    def checked(x, y):
+        for m in (x, y):
+            if isinstance(m, Mat) and m.nrows == m.ncols and m.nrows % 2 == 0 and m.nrows:
+                assert m != SymplecticSpace(m.field, m.nrows // 2).omega
+        products.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Mat, "__mul__", checked)
+    cert = symplectic_normal_form(space, a)
+    assert products
+    products.clear()
     calls = {"_reduce": 0, "charpoly": 0}
     for module, name in ((linalg, "_reduce"), (nf, "charpoly")):
         def counted(*args, _name=name, _fn=getattr(module, name)):
@@ -180,6 +196,7 @@ def test_pipeline_certificate_is_verified_without_elimination_or_charpoly(monkey
         monkeypatch.setattr(module, name, counted)
     assert verify_certificate(cert).ok
     assert calls == {"_reduce": 0, "charpoly": 0}
+    assert len(products) == 3
 
 
 def _descent_instance():
