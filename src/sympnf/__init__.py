@@ -34,7 +34,6 @@ from .normalform import (
     VerificationReport,
     cyclic_pair,
     descent_normal_form,
-    nilpotent_normal_form,
     polarize,
     primary_decomposition,
     random_self_adjoint,

@@ -21,6 +21,10 @@ class ReducibleModulusError(ExactAlgebraError, ValueError):
     """Extension modulus factors over the base field."""
 
 
+class FieldTooLargeError(ExactAlgebraError, ValueError):
+    """Extension field descriptor of order 2^64 or more."""
+
+
 class RationalFieldError(ExactAlgebraError, TypeError):
     """Finite-field operation requested over the rationals."""
 

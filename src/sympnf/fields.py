@@ -23,6 +23,7 @@ from operator import mul
 
 from .errors import (
     DivisionByZeroError,
+    FieldTooLargeError,
     MixedFieldsError,
     NonPrimeModulusError,
     RationalFieldError,
@@ -694,14 +695,19 @@ def make_field(kind: str, p: int | None = None, modulus=None):
     """Build a field context from descriptor data.
 
     ``modulus`` is a list of integer coefficients low-to-high including the
-    leading 1 (extension kind only).
+    leading 1 (extension kind only).  An extension of order 2^64 or more is
+    refused: Rabin's test on a degree-k modulus takes O(k) modular powers.
     """
     if kind == "rational":
         return QQ
     if kind == "prime":
         return PrimeField(p)
     if kind == "extension":
-        return _extension_field(p, tuple(modulus))
+        modulus = tuple(modulus)
+        # any valid p is at least 3, so a degree above 64 fails without computing p^k
+        if len(modulus) > 65 or p ** (len(modulus) - 1) >= 2**64:
+            raise FieldTooLargeError(f"extension field order must be below 2^64, got {p}^{len(modulus) - 1}")
+        return _extension_field(p, modulus)
     raise NonPrimeModulusError(f"unknown field kind {kind!r}")
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "mat_poly_eval",
     "restrict_operator",
     "extend_scalars",
-    "extend_vector",
     "restrict_scalars",
 ]
 
@@ -294,13 +293,6 @@ class Subspace:
 
     __slots__ = ("field", "ambient_dim", "raw", "_basis", "_pivots")
 
-    def __init__(self, field, ambient_dim, basis_rows):
-        self.field = field
-        self.ambient_dim = ambient_dim
-        self.raw = field.ops.encode_rows(basis_rows)
-        self._basis = None
-        self._pivots = None
-
     @classmethod
     def from_raw(cls, field, ambient_dim, raw):
         s = cls.__new__(cls)
@@ -352,8 +344,7 @@ class Subspace:
 
     def _contains_raw(self, v) -> bool:
         if self._pivots is None:
-            # a zero row (possible only through the element constructor) reduces nothing
-            self._pivots = tuple(next((j for j, x in enumerate(r) if x), 0) for r in self.raw)
+            self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.raw)
         ops = self.field.ops
         axpy, neg = ops.axpy, ops.neg
         for row, piv in zip(self.raw, self._pivots):
@@ -366,9 +357,6 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionMismatchError("vector length differs from ambient dimension")
         return self._contains_raw(tuple(map(self.field.ops.encode, v)))
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self._contains_raw(r) for r in other.raw)
 
     def annihilator_rows(self) -> Mat:
         """Matrix N with kernel exactly this subspace: x in S iff N x = 0."""
@@ -456,7 +444,8 @@ def charpoly(a: Mat) -> Poly:
 
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:
-    """Horner evaluation P(a)."""
+    """Horner evaluation P(a), started at lc * a so that no product takes the
+    identity: degree d costs max(d - 1, 0) products."""
     if a.nrows != a.ncols:
         raise NotSquareError("polynomial evaluation needs a square matrix")
     if p.field != a.field:
@@ -466,14 +455,15 @@ def mat_poly_eval(p: Poly, a: Mat) -> Mat:
     if p.is_zero():
         return Mat.zeros(field, n, n)
     ops = field.ops
-    add = ops.add
-    coeffs = [ops.encode(c) for c in reversed(p.coeffs)]
-    acc = Mat.from_raw(field, tuple(tuple(ops.scale(coeffs[0], r)) for r in _identity_raw(ops, n)))
-    for c in coeffs[1:]:
-        acc = acc * a
+    lead, *coeffs = [ops.encode(c) for c in reversed(p.coeffs)]
+    start = a.raw if coeffs else _identity_raw(ops, n)
+    acc = Mat.from_raw(field, tuple(tuple(ops.scale(lead, r)) for r in start), n)
+    for k, c in enumerate(coeffs):
+        if k:
+            acc = acc * a
         if c:
             acc = Mat.from_raw(
-                field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw))
+                field, tuple(r[:i] + (ops.add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw))
             )
     return acc
 
@@ -505,10 +495,6 @@ def extend_scalars(a: Mat, ext: ExtensionField) -> Mat:
         raise IncompatibleFieldsError("extension does not contain the matrix field")
     embed = ext.ops.embed
     return Mat.from_raw(ext, tuple(tuple(map(embed, r)) for r in a.raw), a.ncols)
-
-
-def extend_vector(v, ext: ExtensionField):
-    return tuple(ext.embed(x) for x in v)
 
 
 def restrict_scalars(m: Mat) -> Mat:

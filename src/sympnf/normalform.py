@@ -1,7 +1,11 @@
 """The normal-form pipeline: primary decomposition of a self-adjoint
-operator, the cyclic-chain construction for the nilpotent case, the
+operator, the cyclic-chain construction on each generalized eigenspace, the
 splitting (Jordan) case, finite-field Galois descent, certification, and
 seeded instance generation.
+
+Every primary component, in the decomposition and in both chain builders,
+is ker p(A)^(m/2) for a factor p of multiplicity m in charpoly(A): A is
+similar to diag(B, B^T), so each elementary divisor p^h occurs twice.
 
 A cyclic pair (u, w) is split off by the sigma-projection x -> x + sum
 sigma(x, w_i) u_i - sum sigma(x, u_i) w_i onto its sigma-complement.  Descent
@@ -64,7 +68,6 @@ __all__ = [
     "primary_decomposition",
     "self_adjoint_projections",
     "cyclic_pair",
-    "nilpotent_normal_form",
     "split_normal_form",
     "descent_normal_form",
     "symplectic_normal_form",
@@ -143,8 +146,16 @@ def _roots(fac: Factorization):
     return [(-p.coeffs[0], m) for p, m in fac.factors]
 
 
+def _primary_kernel(g: Mat, m: int) -> Subspace:
+    """The primary component ker g^(m/2) of g = p(a), for a self-adjoint and
+    p irreducible of multiplicity m in charpoly(a).  a is similar to
+    diag(B, B^T), and B and B^T share their elementary divisors, so each
+    p^h of a occurs twice and h <= m/2: the full power m only costs more."""
+    return kernel(g ** (m // 2))
+
+
 def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
-    """Split the space into invariant symplectic kernels of P_i(a)^{m_i},
+    """Split the space into invariant symplectic kernels of P_i(a)^{m_i/2},
     ordered by the canonical factor key."""
     fac = _self_adjoint_factorization(space, a, seed, "primary decomposition needs a self-adjoint operator")
     if fac.unresolved:
@@ -152,7 +163,7 @@ def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list
     comps = []
     total = 0
     for p, m in fac.factors:
-        sub = kernel(mat_poly_eval(p ** m, a))
+        sub = _primary_kernel(mat_poly_eval(p, a), m)
         comps.append(PrimaryComponent(p, m, sub))
         total += sub.dim
     if total != space.dim:
@@ -246,12 +257,12 @@ def _split_off(space: SymplecticSpace, current: Subspace, pair: CyclicPair) -> S
     return Subspace._span(field, space.dim, proj.raw)
 
 
-def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool = False) -> list[CyclicPair]:
+def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace) -> list[CyclicPair]:
     """Exhaust s by cyclic pairs, splitting each off by sigma-projection."""
     chains = []
     current = s
     while not current.is_zero():
-        pair = cyclic_pair(space, g, current, use_recursion)
+        pair = cyclic_pair(space, g, current)
         chains.append(pair)
         if 2 * pair.d == current.dim:
             break  # the pair's 2d independent vectors span current
@@ -260,10 +271,10 @@ def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion
 
 
 def _eigen_chains(space: SymplecticSpace, a: Mat, lam, m: int) -> list[CyclicPair]:
-    """Cyclic pairs of g = a - lam on ker g^m, the generalized eigenspace of
-    an eigenvalue lam of multiplicity m."""
+    """Cyclic pairs of g = a - lam on the generalized eigenspace of an
+    eigenvalue lam of multiplicity m in charpoly(a), a self-adjoint."""
     g = a - Mat.identity(space.field, space.dim) * lam
-    return _nilpotent_chains(space, g, kernel(g ** m))
+    return _nilpotent_chains(space, g, _primary_kernel(g, m))
 
 
 # --- block builders ---------------------------------------------------------
@@ -307,18 +318,7 @@ def _jordan_matrix(field, jordan_spec) -> Mat:
     return build_block_matrix(field, [("jordan", lam, sizes) for lam, sizes in jordan_spec])
 
 
-# --- the three constructive cases -------------------------------------------
-
-
-def nilpotent_normal_form(space: SymplecticSpace, a: Mat, use_recursion: bool = False) -> tuple[Mat, Mat]:
-    """Darboux basis C and Jordan block B for a nilpotent self-adjoint a."""
-    if not is_self_adjoint(space, a):
-        raise NotSelfAdjointError("operator is not self-adjoint")
-    if not (a ** space.dim).is_zero():
-        raise NotNilpotentError("operator is not nilpotent")
-    chains = _nilpotent_chains(space, a, Subspace.full(space.field, space.dim), use_recursion)
-    c, b, _ = _assemble(space, [(space.field.zero, chains)])
-    return c, b
+# --- the two constructive cases ---------------------------------------------
 
 
 def split_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[Mat, Mat, tuple]:

@@ -446,9 +446,6 @@ class Factorization:
             acc = acc * g ** m
         return acc
 
-    def is_complete(self) -> bool:
-        return not self.unresolved
-
 
 def factor(f: Poly, seed: int = 0) -> Factorization:
     """Factor a nonconstant polynomial.

@@ -152,7 +152,7 @@ def random_symplectic(space: SymplecticSpace, rng: random.Random) -> Mat:
     and the form matrix itself.  Always passes is_symplectic_matrix."""
     c = Mat.identity(space.field, space.dim)
     for _ in range(rng.randint(2, 5)):
-        c = c * _random_generator(space, rng)
+        c = _times_random_generator(space, c, rng)
     return c
 
 
@@ -161,7 +161,8 @@ def _random_symmetric(field, n, rng):
     return Mat(field, [[vals[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
 
 
-def _random_generator(space: SymplecticSpace, rng: random.Random) -> Mat:
+def _times_random_generator(space: SymplecticSpace, c: Mat, rng: random.Random) -> Mat:
+    """c times a random generator of random_symplectic's word."""
     field = space.field
     n = space.n
     kind = rng.randrange(4)
@@ -175,14 +176,16 @@ def _random_generator(space: SymplecticSpace, rng: random.Random) -> Mat:
                 break
             except Exception:
                 continue
-        return _blocks(field, s, z, z, s_inv_t)
+        return c * _blocks(field, s, z, z, s_inv_t)
     if kind == 1:
         m = _random_symmetric(field, n, rng)
-        return _blocks(field, ident, m, z, ident)
+        return c * _blocks(field, ident, m, z, ident)
     if kind == 2:
         m = _random_symmetric(field, n, rng)
-        return _blocks(field, ident, z, m, ident)
-    return space.omega
+        return c * _blocks(field, ident, z, m, ident)
+    # c O = [-c_R | c_L], a signed swap of the column halves
+    neg = field.ops.neg
+    return Mat.from_raw(field, tuple(tuple(map(neg, r[n:])) + r[:n] for r in c.raw), c.ncols)
 
 
 def _blocks(field, a, b, c, d):

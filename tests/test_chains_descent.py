@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympnf.fields import ExtElement, PrimeField, QQ, frobenius
-from sympnf.linalg import Mat, Subspace, extend_vector, kernel, restrict_scalars
+from sympnf.linalg import Mat, Subspace, extend_scalars, kernel, restrict_scalars
 import sympnf.normalform as nf
 from sympnf.normalform import (
     _nilpotent_chains,
@@ -104,7 +104,8 @@ def test_descent_reads_the_rref_basis(ext, data):
     base = ext.base
     n = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(0, n))
-    rational = [extend_vector(data.draw(st.lists(elements(base), min_size=n, max_size=n)), ext) for _ in range(k)]
+    points = [data.draw(st.lists(elements(base), min_size=n, max_size=n)) for _ in range(k)]
+    rational = list(extend_scalars(Mat(base, points), ext).rows)
     vectors = list(rational)
     if rational:
         weights = data.draw(st.lists(elements(ext), min_size=k, max_size=k))
@@ -123,8 +124,7 @@ def test_descent_reads_the_rref_basis(ext, data):
     span = Subspace.from_vectors(ext, n, vectors)
     assert extra or span == closure
     span_points = kernel(restrict_scalars(span.annihilator_rows()))
-    extended = Subspace.from_vectors(ext, n, [extend_vector(v, ext) for v in span_points.basis])
-    assert span.contains_subspace(extended)
+    assert all(span.contains(v) for v in extend_scalars(span_points.basis_matrix(), ext).rows)
     assert (span_points.dim == span.dim) == (span == closure)
 
 

@@ -1,10 +1,14 @@
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
 import pytest
 
+import sympnf
 from sympnf.cli import (
     EXIT_OK,
     EXIT_PARSE,
@@ -14,7 +18,7 @@ from sympnf.cli import (
     parse_block_spec,
     parse_field_flag,
 )
-from sympnf.errors import InstanceParseError
+from sympnf.errors import ExactAlgebraError, FieldTooLargeError, InstanceParseError
 from sympnf.fields import PrimeField, QQ, make_field
 from sympnf.linalg import Mat
 from sympnf.normalform import companion_matrix, random_self_adjoint, symplectic_normal_form
@@ -268,6 +272,39 @@ class TestCliExitCodes:
         # a strong pseudoprime to every Miller-Rabin base the library uses
         flag = "prime:3317044064679887385961981"
         assert main(["random", "--field", flag, "--spec", "1:[1]"]) == EXIT_PARSE
+
+
+class TestFieldOrderBound:
+    """An extension descriptor of order 2^64 or more is refused before the
+    irreducibility test runs on its modulus."""
+
+    def test_make_field_refuses_an_order_from_2_64(self):
+        assert issubclass(FieldTooLargeError, ExactAlgebraError) and issubclass(FieldTooLargeError, ValueError)
+        # 3^41 > 2^64 > 3^40; x^40 + x + 2 is irreducible over F_3
+        with pytest.raises(FieldTooLargeError):
+            make_field("extension", p=3, modulus=[2, 1] + [0] * 39 + [1])
+        assert make_field("extension", p=3, modulus=[2, 1] + [0] * 38 + [1]).order == 3**40
+        with pytest.raises(InstanceParseError):
+            parse_field_flag("ext:3:" + ",".join(["2", "1"] + ["0"] * 39 + ["1"]))
+
+    def test_a_degree_240_descriptor_exits_3_at_once(self, tmp_path):
+        """x^240 + x + 2 over F_3: Rabin's test on it alone runs for minutes."""
+        field = {"kind": "extension", "p": "3", "modulus": ["2", "1"] + ["0"] * 238 + ["1"]}
+        zero = ["0"] * 240
+        a = [[zero, zero], [zero, zero]]
+        inst = _write(tmp_path, "inst.json", json.dumps({"field": field, "n": 1, "matrix": a}))
+        cert = {"field": field, "n": 1, "A": a, "B": [[zero]], "C": a, "case": "jordan",
+                "jordan_spec": [{"eigenvalue": zero, "sizes": [1]}]}
+        cert_path = _write(tmp_path, "cert.json", json.dumps(cert))
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sympnf.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command, path in (("check", inst), ("normal-form", inst), ("verify", cert_path)):
+            start = time.perf_counter()
+            done = subprocess.run(
+                [sys.executable, "-m", "sympnf.cli", command, path], env=env, capture_output=True, timeout=20
+            )
+            assert done.returncode == EXIT_PARSE, (command, done.stderr)
+            assert time.perf_counter() - start < 1.0, command
 
 
 class TestCliPipeline:

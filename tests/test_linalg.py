@@ -16,7 +16,6 @@ from sympnf.linalg import (
     Subspace,
     charpoly,
     extend_scalars,
-    extend_vector,
     inverse,
     kernel,
     mat_poly_eval,
@@ -149,7 +148,7 @@ class TestSubspaces:
             s1 = Subspace.from_vectors(F3, 4, [[F3.random_element(rng) for _ in range(4)] for _ in range(rng.randint(0, 3))])
             s2 = Subspace.from_vectors(F3, 4, [[F3.random_element(rng) for _ in range(4)] for _ in range(rng.randint(0, 3))])
             inter = s1.intersection(s2)
-            assert s1.contains_subspace(inter) and s2.contains_subspace(inter)
+            assert all(s1.contains(v) and s2.contains(v) for v in inter.basis)
             # dim(U+V) + dim(U cap V) = dim U + dim V
             assert s1.sum(s2).dim + inter.dim == s1.dim + s2.dim
 
@@ -199,6 +198,32 @@ def test_matrix_power_multiplies_only_while_bits_remain(monkeypatch):
         a ** e
         counts.append(len(calls))
     assert counts == [0, 0, 1, 2, 2, 3]
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
+def test_mat_poly_eval_is_the_sum_of_powers_in_degree_minus_one_products(field, monkeypatch):
+    """Horner starts at lc * a, so no product takes the identity."""
+    rng = random.Random(89)
+    a = _random_mat(field, rng, 3)
+    product = Mat.__mul__
+    calls = []
+
+    def counted(x, y):
+        if isinstance(y, Mat):
+            calls.append(1)
+        return product(x, y)
+
+    for d in range(7):
+        coeffs = [field.random_element(rng) for _ in range(d)] + [field.from_int(2)]
+        expected = Mat.zeros(field, 3, 3)
+        for i, c in enumerate(coeffs):
+            expected = expected + a ** i * c
+        calls.clear()
+        monkeypatch.setattr(Mat, "__mul__", counted)
+        value = mat_poly_eval(Poly(field, coeffs), a)
+        monkeypatch.undo()
+        assert value == expected
+        assert len(calls) == max(d - 1, 0)
 
 
 class TestCharpoly:
@@ -293,7 +318,8 @@ class TestScalarExtension:
             extend_scalars(Mat.from_ints(F5, [[1]]), F9)
 
     def test_extend_vector(self):
-        v = extend_vector((F3.one, F3.from_int(2)), F9)
+        (v,) = extend_scalars(Mat(F3, [(F3.one, F3.from_int(2))]), F9).rows
+        assert v == (F9.one, F9.from_int(2))
         assert all(x.field is F9 for x in v)
 
     def test_extension_preserves_charpoly(self):
@@ -334,4 +360,4 @@ class TestScalarExtension:
             down = kernel(restrict_scalars(eqns))
             ext_kernel = kernel(eqns)
             for row in down.basis:
-                assert ext_kernel.contains(extend_vector(row, F9))
+                assert ext_kernel.contains(extend_scalars(Mat(F3, [row]), F9).rows[0])

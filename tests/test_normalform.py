@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sympnf.normalform as nf
 from sympnf.errors import (
@@ -14,7 +16,7 @@ from sympnf.errors import (
     UnsupportedFieldPathError,
 )
 from sympnf.fields import PrimeField, QQ, make_field
-from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, rank, restrict_operator
+from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, mat_poly_eval, rank, restrict_operator
 from sympnf.normalform import (
     NormalFormCertificate,
     build_block_matrix,
@@ -22,7 +24,6 @@ from sympnf.normalform import (
     cyclic_pair,
     descent_normal_form,
     jordan_block,
-    nilpotent_normal_form,
     normalize_block_spec,
     polarize,
     primary_decomposition,
@@ -81,6 +82,64 @@ def _jordan_sizes_from_ranks(b, lam):
         blocks_of_size_k = sizes[k - 1] - (sizes[k] if k < n else 0)
         out.extend([k] * blocks_of_size_k)
     return tuple(sorted(out, reverse=True))
+
+
+# irreducible quadratics: -2 is not a square mod 5, and 1 + i has order 8 in F_9^*
+QUADRATICS = {F5: Poly.from_ints(F5, [2, 0, 1]), F9: Poly(F9, [-(F9.one + F9.gen), F9.zero, F9.one])}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_half_the_multiplicity_kills_every_primary_component(data):
+    """Each elementary divisor p^h of a self-adjoint A occurs twice, so for a
+    factor (p, m) of charpoly(A), ker p(A)^(m/2) = ker p(A)^m, of dimension
+    deg p * m, and primary_decomposition returns exactly these kernels."""
+    field = data.draw(st.sampled_from([QQ, F5, F9]), label="field")
+    lam = data.draw(st.sampled_from([field.zero, field.one, field.from_int(-2)]), label="lam")
+    mu = lam + field.one
+    specs = [
+        [("jordan", lam, (2, 2))],
+        [("jordan", lam, (3, 1))],
+        [("jordan", lam, (2, 2)), ("jordan", mu, (1,))],
+        [("jordan", lam, (3, 1)), ("jordan", mu, (1, 1))],
+    ]
+    if field is not QQ:
+        p = QUADRATICS[field]
+        specs += [
+            [("companion", p, (2,))],
+            [("companion", p, (2,)), ("jordan", lam, (1, 1))],
+            [("companion", p, (1, 1)), ("jordan", lam, (2,))],
+        ]
+    spec = data.draw(st.sampled_from(specs), label="spec")
+    n = sum(sum(e[2]) * (e[1].degree if e[0] == "companion" else 1) for e in spec)
+    sp = SymplecticSpace(field, n)
+    a = random_self_adjoint(sp, random.Random(data.draw(st.integers(0, 2**16), label="seed")), spec)
+    fac = factor(charpoly(a))
+    comps = primary_decomposition(sp, a)
+    assert [(c.factor, c.multiplicity) for c in comps] == list(fac.factors)
+    for comp, (p, m) in zip(comps, fac.factors):
+        g = mat_poly_eval(p, a)
+        assert m % 2 == 0
+        assert comp.basis == kernel(g ** (m // 2)) == kernel(g ** m)
+        assert comp.basis.dim == p.degree * m
+
+
+def test_certify_raises_each_eigenvalue_to_half_its_multiplicity(monkeypatch):
+    """Spec 1:[2,2]; 2:[1] over F_5 has multiplicities 8 and 2 in charpoly(A):
+    the chains run on ker (A - 1)^4 and ker (A - 2)^1."""
+    sp = SymplecticSpace(F5, 5)
+    a = random_self_adjoint(sp, random.Random(7), [("jordan", F5.one, (2, 2)), ("jordan", F5.from_int(2), (1,))])
+    power = Mat.__pow__
+    exponents = []
+
+    def recorded(m, e):
+        exponents.append(e)
+        return power(m, e)
+
+    monkeypatch.setattr(Mat, "__pow__", recorded)
+    cert = symplectic_normal_form(sp, a)
+    assert cert.jordan_spec == ((F5.one, (2, 2)), (F5.from_int(2), (1,)))
+    assert exponents == [4, 1]
 
 
 class TestPrimaryDecomposition:
@@ -221,24 +280,23 @@ class TestCyclicPair:
 
 
 class TestNilpotentNormalForm:
+    """A nilpotent operator through split_normal_form: one eigenvalue, 0."""
+
     def test_zero_operator(self):
         sp = SymplecticSpace(QQ, 2)
-        c, b = nilpotent_normal_form(sp, Mat.zeros(QQ, 4, 4))
+        c, b, spec = split_normal_form(sp, Mat.zeros(QQ, 4, 4))
         assert c == Mat.identity(QQ, 4)
         assert b == Mat.zeros(QQ, 2, 2)
+        assert spec == ((QQ.zero, (1, 1)),)
 
     def test_already_in_normal_form(self):
         sp = SymplecticSpace(F3, 2)
         n2 = Mat.from_ints(F3, [[0, 1], [0, 0]])
         a = Mat.block_diag(F3, [n2, n2.transpose()])
-        c, b = nilpotent_normal_form(sp, a)
+        c, b, spec = split_normal_form(sp, a)
         assert c == Mat.identity(F3, 4)
         assert b == n2
-
-    def test_rejects_non_nilpotent(self):
-        sp = SymplecticSpace(F5, 1)
-        with pytest.raises(NotNilpotentError):
-            nilpotent_normal_form(sp, Mat.identity(F5, 2))
+        assert spec == ((F3.zero, (2,)),)
 
     @pytest.mark.parametrize("sizes", [(1,), (2,), (2, 1), (3, 1), (2, 2)], ids=str)
     def test_scrambled_recovery(self, sizes):
@@ -247,7 +305,8 @@ class TestNilpotentNormalForm:
         sp = SymplecticSpace(F5, n)
         for _ in range(5):
             a = _scrambled(sp, rng, [("jordan", F5.zero, sizes)])
-            c, b = nilpotent_normal_form(sp, a)
+            c, b, spec = split_normal_form(sp, a)
+            assert spec == ((F5.zero, tuple(sorted(sizes, reverse=True))),)
             assert is_symplectic_matrix(sp, c)
             assert inverse(c) * a * c == Mat.block_diag(F5, [b, b.transpose()])
             assert _jordan_sizes_from_ranks(b, F5.zero) == tuple(sorted(sizes, reverse=True))

@@ -196,7 +196,7 @@ class TestFactor:
             (Poly.from_ints(F5, [2, 1]), 1),
             (Poly.from_ints(F5, [3, 1]), 1),
         )
-        assert fac.is_complete()
+        assert not fac.unresolved
 
     def test_rational_roots(self):
         t = Poly.x(QQ)
@@ -212,7 +212,7 @@ class TestFactor:
         fac = factor(f)
         assert fac.factors == ()
         assert fac.unresolved == ((f, 1),)
-        assert not fac.is_complete()
+        assert fac.unresolved
 
     def test_non_monic_unit(self):
         f = Poly(QQ, [Fraction(-2), Fraction(0), Fraction(2)])  # 2(t-1)(t+1)
@@ -238,7 +238,7 @@ class TestFactor:
             if f.degree < 1:
                 continue
             fac = factor(f, seed=trial)
-            assert fac.is_complete()
+            assert not fac.unresolved
             assert fac.product() == f  # exact remultiplication
             for g, _ in fac.factors:
                 assert g.lc() == field.one

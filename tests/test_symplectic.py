@@ -293,7 +293,7 @@ def _dense_omega(field, n):
 def _dense_class(s, comp, dim):
     if s == comp:
         return "lagrangian"
-    if comp.contains_subspace(s):
+    if all(comp.contains(v) for v in s.basis):
         return "isotropic"
     return "symplectic" if s.sum(comp).dim == dim else "generic"
 
