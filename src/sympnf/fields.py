@@ -696,7 +696,8 @@ def make_field(kind: str, p: int | None = None, modulus=None):
 
     ``modulus`` is a list of integer coefficients low-to-high including the
     leading 1 (extension kind only).  An extension of order 2^64 or more is
-    refused: Rabin's test on a degree-k modulus takes O(k) modular powers.
+    refused: the irreducibility test on a degree-k modulus takes up to k/2
+    modular powers.
     """
     if kind == "rational":
         return QQ
@@ -735,10 +736,4 @@ def pth_root(x):
     field = getattr(x, "field", None)
     if field is None or field.kind == "rational":
         raise RationalFieldError("p-th roots are only taken in finite fields")
-    p = field.char
-    k = 0
-    q = field.order
-    while q > 1:
-        q //= p
-        k += 1
-    return x ** (p ** (k - 1))
+    return x ** (field.order // field.char)

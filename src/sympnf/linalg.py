@@ -342,12 +342,16 @@ class Subspace:
     def basis_matrix(self) -> Mat:
         return Mat.from_raw(self.field, self.raw, self.ambient_dim)
 
-    def _contains_raw(self, v) -> bool:
+    def _pivot_cols(self):
+        """The pivot column of each basis row, computed on first use."""
         if self._pivots is None:
             self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.raw)
+        return self._pivots
+
+    def _contains_raw(self, v) -> bool:
         ops = self.field.ops
         axpy, neg = ops.axpy, ops.neg
-        for row, piv in zip(self.raw, self._pivots):
+        for row, piv in zip(self.raw, self._pivot_cols()):
             c = v[piv]
             if c:
                 v = axpy(neg(c), row, v)
@@ -473,17 +477,16 @@ def rank(a: Mat) -> int:
 
 
 def restrict_operator(a: Mat, s: Subspace) -> Mat:
-    """Matrix of a restricted to the invariant subspace s, in s's RREF basis."""
-    if s.ambient_dim != a.ncols:
+    """Matrix of a restricted to the invariant subspace s, in s's RREF basis.
+
+    The rows of S A^T are the images of the basis of s; a vector of s has
+    its coordinates in that basis at the pivot columns."""
+    if not s.ambient_dim == a.nrows == a.ncols:
         raise DimensionMismatchError("subspace ambient dimension differs from matrix size")
-    bt = s.basis_matrix().transpose()
-    cols = []
-    for b in s.basis:
-        img = a.matvec(b)
-        if not s.contains(img):
-            raise NotInvariantError("subspace is not invariant under the operator")
-        cols.append(solve(bt, img))
-    return Mat(a.field, zip(*cols)) if cols else Mat.zeros(a.field, 0, 0)
+    images = (s.basis_matrix() * a.transpose()).raw
+    if not all(s._contains_raw(r) for r in images):
+        raise NotInvariantError("subspace is not invariant under the operator")
+    return Mat.from_raw(a.field, tuple(tuple(r[p] for r in images) for p in s._pivot_cols()), s.dim)
 
 
 # --- scalar extension and restriction --------------------------------------

@@ -53,7 +53,6 @@ from .symplectic import (
     SymplecticSpace,
     adjoint,
     darboux_from_lagrangian_pair,
-    form_eval,
     gram,
     is_self_adjoint,
     is_symplectic_matrix,
@@ -96,14 +95,23 @@ class PrimaryComponent:
 @dataclass(frozen=True)
 class CyclicPair:
     """Chains u_1..u_d, w_1..w_d with u_i = g^{d-i}(u_d), w_i = g^{i-1}(w_1)
-    and sigma(w_i, u_j) = delta_ij; both chains isotropic."""
+    and sigma(w_i, u_j) = delta_ij; both chains isotropic.  The matrices u
+    and w hold one chain vector per row."""
 
-    u_chain: tuple
-    w_chain: tuple
+    u: Mat
+    w: Mat
+
+    @property
+    def u_chain(self) -> tuple:
+        return self.u.rows
+
+    @property
+    def w_chain(self) -> tuple:
+        return self.w.rows
 
     @property
     def d(self) -> int:
-        return len(self.u_chain)
+        return self.u.nrows
 
 
 @dataclass(frozen=True)
@@ -189,10 +197,10 @@ def self_adjoint_projections(space: SymplecticSpace, a: Mat, fac: Factorization)
 # --- cyclic chains ----------------------------------------------------------
 
 
-def _solve_in_subspace(space: SymplecticSpace, s: Subspace, targets, rhs):
-    """Canonical w in s with sigma(w, targets[i]) = rhs[i]."""
+def _solve_in_subspace(space: SymplecticSpace, s: Subspace, targets: Mat, rhs) -> Mat:
+    """Canonical w in s, as one row, with sigma(w, targets row i) = rhs[i]."""
     basis = s.basis_matrix()
-    return (Mat(space.field, [solve(gram(basis, Mat(space.field, targets)).transpose(), rhs)]) * basis).rows[0]
+    return Mat(space.field, [solve(gram(basis, targets).transpose(), rhs)]) * basis
 
 
 def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool = False) -> CyclicPair:
@@ -216,33 +224,30 @@ def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool
             raise NotNilpotentError("operator is not nilpotent on the subspace")
         images.append(images[-1] * gt)
     d = len(images) - 1
-    top = next(i for i, row in enumerate(images[d - 1].rows) if any(row))
-    us = [images[d - 1 - k].rows[top] for k in range(d)]
-    one, zero = field.one, field.zero
+    top = next(i for i, row in enumerate(images[d - 1].raw) if any(row))
+    u = Mat.from_raw(field, tuple(images[d - 1 - k].raw[top] for k in range(d)), space.dim)
     if use_recursion:
-        v = _solve_in_subspace(space, s, [us[0]], (one,))
+        w = _solve_in_subspace(space, s, u.submatrix(0, 1, 0, space.dim), (field.one,))
         for k in range(1, d):
-            c = form_eval(space, v, us[k])
-            if c:
-                gk_v = v
+            c = gram(w, u.submatrix(k, k + 1, 0, space.dim))  # sigma(w, u_k), 1 x 1
+            if not c.is_zero():
+                gk_w = w
                 for _ in range(k):
-                    gk_v = g.matvec(gk_v)
-                v = tuple(x - c * y for x, y in zip(v, gk_v))
-        w1 = v
+                    gk_w = gk_w * gt
+                w = w - c * gk_w
     else:
-        rhs = (one,) + (zero,) * (d - 1)
-        w1 = _solve_in_subspace(space, s, us, rhs)
-    ws = [w1]
+        w = _solve_in_subspace(space, s, u, (field.one,) + (field.zero,) * (d - 1))
+    ws = [w]
     for _ in range(d - 1):
-        ws.append(g.matvec(ws[-1]))
-    pair = CyclicPair(tuple(us), tuple(ws))
+        ws.append(ws[-1] * gt)
+    pair = CyclicPair(u, Mat.from_raw(field, tuple(r.raw[0] for r in ws), space.dim))
     _check_pair(space, pair)
     return pair
 
 
 def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
     """gram(P, P) = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic."""
-    p = Mat(space.field, pair.u_chain + pair.w_chain)
+    p = Mat.from_raw(space.field, pair.u.raw + pair.w.raw)
     if gram(p, p) != -SymplecticSpace(space.field, pair.d).omega:
         raise InternalDescentFailureError("chain pair is not sigma-dual with isotropic chains")
 
@@ -250,11 +255,10 @@ def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
 def _split_off(space: SymplecticSpace, current: Subspace, pair: CyclicPair) -> Subspace:
     """current intersected with the sigma-complement of the pair, as the image
     of x -> x + sum sigma(x, w_i) u_i - sum sigma(x, u_i) w_i."""
-    field = space.field
-    u, w = Mat(field, pair.u_chain), Mat(field, pair.w_chain)
+    u, w = pair.u, pair.w
     x = current.basis_matrix()
     proj = x + gram(x, w) * u - gram(x, u) * w
-    return Subspace._span(field, space.dim, proj.raw)
+    return Subspace._span(space.field, space.dim, proj.raw)
 
 
 def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace) -> list[CyclicPair]:
@@ -306,10 +310,10 @@ def _assemble(space: SymplecticSpace, per_eigenvalue) -> tuple[Mat, Mat, tuple]:
     u_cols, w_cols = [], []
     for _, chains in per_eigenvalue:
         for pair in chains:
-            u_cols.extend(pair.u_chain)
-            w_cols.extend(tuple(-x for x in w) for w in pair.w_chain)
+            u_cols.extend(pair.u.raw)
+            w_cols.extend((-pair.w).raw)
     spec = tuple((lam, tuple(pair.d for pair in chains)) for lam, chains in per_eigenvalue)
-    c = Mat(field, zip(*(u_cols + w_cols)))
+    c = Mat.from_raw(field, tuple(zip(*(u_cols + w_cols))))
     return c, _jordan_matrix(field, spec), spec
 
 
@@ -359,8 +363,8 @@ def _component_lagrangians(space: SymplecticSpace, a: Mat, p: Poly, m: int):
     chains = _eigen_chains(ext_space, op, root, m)
     if 2 * sum(pair.d for pair in chains) != m:
         raise InternalDescentFailureError("eigencomponent has the wrong dimension")
-    us = Mat(ext, [v for pair in chains for v in pair.u_chain])
-    ws = Mat(ext, [v for pair in chains for v in pair.w_chain])
+    us = Mat.from_raw(ext, tuple(r for pair in chains for r in pair.u.raw), space.dim)
+    ws = Mat.from_raw(ext, tuple(r for pair in chains for r in pair.w.raw), space.dim)
     if ext is not field:
         us, ws = restrict_scalars(us), restrict_scalars(ws)
     return us.raw, ws.raw
@@ -478,10 +482,9 @@ def polarize(cert: NormalFormCertificate):
     if not verify_certificate(cert).ok:
         raise InvalidCertificateError("certificate fails verification")
     space = cert.space
-    n = space.n
-    cols = [cert.basis.col(j) for j in range(2 * n)]
-    u = Subspace.from_vectors(space.field, space.dim, cols[:n])
-    w = Subspace.from_vectors(space.field, space.dim, cols[n:])
+    cols = cert.basis.transpose().raw
+    u = Subspace._span(space.field, space.dim, cols[: space.n])
+    w = Subspace._span(space.field, space.dim, cols[space.n :])
     return u, w, cert.block
 
 

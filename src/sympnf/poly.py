@@ -274,8 +274,9 @@ def _poly_pth_root(f: Poly) -> Poly:
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     """Monic squarefree parts with multiplicities: f = lc * prod g_j^j.
 
-    In characteristic p the vanishing-derivative branch extracts p-th roots
-    of coefficients and recurses with multiplicities scaled by p.
+    In characteristic p the part left once the loop ends (all of f when
+    f' = 0) is a p-th power: its p-th root is decomposed with multiplicities
+    scaled by p.
     """
     if f.is_zero():
         raise DivisionByZeroError("cannot decompose the zero polynomial")
@@ -283,12 +284,8 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
     if f.degree == 0:
         return []
     p = f.field.char
-    df = f.derivative()
-    if df.is_zero():
-        # f = h(t)^p
-        return [(g, m * p) for g, m in squarefree_decomposition(_poly_pth_root(f))]
     out = []
-    c = poly_gcd(f, df)
+    c = poly_gcd(f, f.derivative())
     w = f // c
     i = 1
     while w.degree > 0:
@@ -311,32 +308,12 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 
 
 def is_irreducible(f: Poly) -> bool:
-    """Rabin irreducibility test over a finite field."""
-    n = f.degree
-    if n <= 0:
+    """Irreducibility over a finite field: f is squarefree and the
+    distinct-degree split of factor() finds one factor, of degree deg f."""
+    if f.degree < 1:
         return False
-    if n == 1:
-        return True
-    q = f.field.order
-    x = Poly.x(f.field)
-    for r in sorted({p for p in _prime_factors(n)}):
-        h = x.pow_mod(q ** (n // r), f)
-        if poly_gcd(h - x, f).degree != 0:
-            return False
-    h = x.pow_mod(q ** n, f)
-    return (h - x) % f == Poly.zero(f.field)
-
-
-def _prime_factors(n: int):
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        yield n
+    g = f.monic()
+    return poly_gcd(g, g.derivative()).degree == 0 and _distinct_degree(g) == [(g, g.degree)]
 
 
 def _distinct_degree(f: Poly) -> list[tuple[Poly, int]]:

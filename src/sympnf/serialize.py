@@ -146,8 +146,9 @@ def field_from_json(obj):
     except InstanceParseError:
         raise
     except Exception as exc:
-        raise InstanceParseError(f"bad field descriptor {obj!r}") from exc
-    raise InstanceParseError(f"unknown field kind {obj!r}")
+        # name the cause; echo only the start of a descriptor, which may hold hundreds of coefficients
+        raise InstanceParseError(f"bad field descriptor {obj!r:.60}: {exc}") from exc
+    raise InstanceParseError(f"unknown field kind {obj!r:.60}")
 
 
 # --- instance files ---------------------------------------------------------

@@ -136,12 +136,13 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
             raise NotLagrangianError(f"{name}-subspace is not lagrangian")
     if u.sum(w).dim != space.dim:
         raise NotComplementaryError("subspaces are not complementary")
-    for s in (u, w):
-        for b in s.basis:
-            if not s.contains(a.matvec(b)):
-                raise NotInvariantError("subspace is not invariant under the operator")
-    # sigma pairs complementary lagrangians nondegenerately, so the gram is invertible
     um, wm = u.basis_matrix(), w.basis_matrix()
+    at = a.transpose()
+    for s, sm in ((u, um), (w, wm)):
+        # the rows of S A^T are the images a b of the basis vectors b of s
+        if not all(s._contains_raw(r) for r in (sm * at).raw):
+            raise NotInvariantError("subspace is not invariant under the operator")
+    # sigma pairs complementary lagrangians nondegenerately, so the gram is invertible
     dual = inverse(gram(um, wm)).transpose() * wm
     return Mat.from_raw(space.field, tuple(zip(*(um.raw + dual.raw))))
 
@@ -150,7 +151,7 @@ def random_symplectic(space: SymplecticSpace, rng: random.Random) -> Mat:
     """Product of a seeded random word in the standard symplectic generators:
     diag(S, S^-T), upper and lower unipotent blocks with symmetric off-block,
     and the form matrix itself.  Always passes is_symplectic_matrix."""
-    c = Mat.identity(space.field, space.dim)
+    c = None
     for _ in range(rng.randint(2, 5)):
         c = _times_random_generator(space, c, rng)
     return c
@@ -161,8 +162,9 @@ def _random_symmetric(field, n, rng):
     return Mat(field, [[vals[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)])
 
 
-def _times_random_generator(space: SymplecticSpace, c: Mat, rng: random.Random) -> Mat:
-    """c times a random generator of random_symplectic's word."""
+def _times_random_generator(space: SymplecticSpace, c: Mat | None, rng: random.Random) -> Mat:
+    """c times a random generator of random_symplectic's word; the generator
+    itself when c is None, so that the word starts at its first letter."""
     field = space.field
     n = space.n
     kind = rng.randrange(4)
@@ -176,22 +178,19 @@ def _times_random_generator(space: SymplecticSpace, c: Mat, rng: random.Random) 
                 break
             except Exception:
                 continue
-        return c * _blocks(field, s, z, z, s_inv_t)
-    if kind == 1:
+        gen = _blocks(field, s, z, z, s_inv_t)
+    elif kind in (1, 2):
         m = _random_symmetric(field, n, rng)
-        return c * _blocks(field, ident, m, z, ident)
-    if kind == 2:
-        m = _random_symmetric(field, n, rng)
-        return c * _blocks(field, ident, z, m, ident)
-    # c O = [-c_R | c_L], a signed swap of the column halves
-    neg = field.ops.neg
-    return Mat.from_raw(field, tuple(tuple(map(neg, r[n:])) + r[:n] for r in c.raw), c.ncols)
+        gen = _blocks(field, ident, m, z, ident) if kind == 1 else _blocks(field, ident, z, m, ident)
+    elif c is None:
+        return space.omega
+    else:
+        # c O = [-c_R | c_L], a signed swap of the column halves
+        neg = field.ops.neg
+        return Mat.from_raw(field, tuple(tuple(map(neg, r[n:])) + r[:n] for r in c.raw), c.ncols)
+    return gen if c is None else c * gen
 
 
 def _blocks(field, a, b, c, d):
-    rows = []
-    for ra, rb in zip(a.rows, b.rows):
-        rows.append(ra + rb)
-    for rc, rd in zip(c.rows, d.rows):
-        rows.append(rc + rd)
-    return Mat(field, rows)
+    top = tuple(ra + rb for ra, rb in zip(a.raw, b.raw))
+    return Mat.from_raw(field, top + tuple(rc + rd for rc, rd in zip(c.raw, d.raw)))

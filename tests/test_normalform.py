@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympnf.linalg as linalg
 import sympnf.normalform as nf
 from sympnf.errors import (
     DimensionMismatchError,
@@ -15,8 +16,8 @@ from sympnf.errors import (
     NotSelfAdjointError,
     UnsupportedFieldPathError,
 )
-from sympnf.fields import PrimeField, QQ, make_field
-from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, mat_poly_eval, rank, restrict_operator
+from sympnf.fields import PrimeField, QQ, ZechOps, make_field
+from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, mat_poly_eval, rank, restrict_operator, solve
 from sympnf.normalform import (
     NormalFormCertificate,
     build_block_matrix,
@@ -122,6 +123,30 @@ def test_half_the_multiplicity_kills_every_primary_component(data):
         assert m % 2 == 0
         assert comp.basis == kernel(g ** (m // 2)) == kernel(g ** m)
         assert comp.basis.dim == p.degree * m
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
+def test_restrict_operator_reads_coordinates_at_the_pivots(field, monkeypatch):
+    """On every primary component s, restrict_operator(a, s) is the matrix
+    whose columns are solve(B^T, a b) over the RREF basis rows b of s; it
+    reads those coordinates at the pivot columns and calls no solve."""
+    spec = [("jordan", field.from_int(2), (2, 1)), ("jordan", field.one, (1,))]
+    if field is not QQ:
+        spec.append(("companion", QUADRATICS[field], (1,)))
+    sp = SymplecticSpace(field, 4 if field is QQ else 6)
+    rng = random.Random(233)
+    for _ in range(3):
+        a = random_self_adjoint(sp, rng, spec)
+        comps = [c.basis for c in primary_decomposition(sp, a)]
+        expected = []
+        for s in comps:
+            bt = s.basis_matrix().transpose()
+            expected.append(Mat(field, zip(*[solve(bt, a.matvec(b)) for b in s.basis])))
+        calls = []
+        monkeypatch.setattr(linalg, "solve", lambda *args: calls.append(args))
+        got = [restrict_operator(a, s) for s in comps]
+        monkeypatch.undo()
+        assert got == expected and not calls
 
 
 def test_certify_raises_each_eigenvalue_to_half_its_multiplicity(monkeypatch):
@@ -265,6 +290,22 @@ class TestCyclicPair:
             for i in range(d - 1):
                 assert a.matvec(pair.u_chain[i + 1]) == pair.u_chain[i]
                 assert a.matvec(pair.w_chain[i]) == pair.w_chain[i + 1]
+
+    def test_chains_stay_raw_until_read(self, monkeypatch):
+        """The chains are Mats, one vector per row, and u_chain / w_chain read
+        their rows.  Over F_9 the only decodes are the dim(s) entries of the
+        one solution of the dual seed's system."""
+        sp = SymplecticSpace(F9, 3)
+        a = _scrambled(sp, random.Random(239), [("jordan", F9.zero, (2, 1))])
+        s = Subspace.full(F9, sp.dim)
+        decode = ZechOps.decode
+        calls = []
+        monkeypatch.setattr(ZechOps, "decode", lambda ops, v: calls.append(v) or decode(ops, v))
+        pair = cyclic_pair(sp, a, s)
+        assert len(calls) <= s.dim
+        monkeypatch.undo()
+        assert isinstance(pair.u, Mat) and isinstance(pair.w, Mat) and pair.u.nrows == pair.w.nrows == pair.d == 2
+        assert pair.u_chain == pair.u.rows and pair.w_chain == pair.w.rows
 
     def test_both_variants_agree_exactly(self):
         # with the canonical solve pinning free variables, both seed choices

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import permutations, product
 from operator import mul
 
 import pytest
@@ -312,3 +312,50 @@ def test_pow_mod_is_the_power_reduced(x, m, e):
 def test_power_refuses_a_negative_exponent():
     with pytest.raises(ValueError):
         power(Poly.x(F5), -1, Poly.one(F5))
+
+
+def _poly_of_degree(field, deg):
+    """Polynomials of exact degree deg (not necessarily monic)."""
+    nonzero = elements(field).filter(bool)
+    return st.tuples(st.lists(elements(field), min_size=deg, max_size=deg), nonzero).map(
+        lambda cl: Poly(field, cl[0] + [cl[1]])
+    )
+
+
+@st.composite
+def _irreducibility_cases(draw):
+    """A polynomial of degree 1-8: random, a product of two, or a p-th power."""
+    field = draw(st.sampled_from([F3, F5, F101, F9]))
+    shape = draw(st.sampled_from(["random", "product", "power"]))
+    p = field.char
+    if shape == "power" and p <= 8:
+        return field, draw(_poly_of_degree(field, draw(st.integers(1, 8 // p)))) ** p
+    if shape == "product":
+        d1 = draw(st.integers(1, 7))
+        return field, draw(_poly_of_degree(field, d1)) * draw(_poly_of_degree(field, draw(st.integers(1, 8 - d1))))
+    return field, draw(_poly_of_degree(field, draw(st.integers(1, 8))))
+
+
+def _has_monic_divisor(f, max_deg):
+    """Trial division by every monic polynomial of degree 1..max_deg."""
+    field = f.field
+    for d in range(1, max_deg + 1):
+        for low in product(range(field.order), repeat=d):
+            g = Poly.from_ints(field, list(low) + [1])
+            if (f % g).is_zero():
+                return True
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_irreducibility_cases())
+def test_is_irreducible_is_a_single_factor_of_factor(case):
+    """is_irreducible(f) exactly when factor(f) finds one factor, of
+    multiplicity 1 and degree deg f; over F_3 and F_5 in degree <= 6 also
+    exactly when no monic polynomial of degree <= deg f / 2 divides f."""
+    field, f = case
+    fac = factor(f)
+    single = len(fac.factors) == 1 and fac.factors[0][1] == 1 and fac.factors[0][0].degree == f.degree
+    assert is_irreducible(f) == single
+    if field in (F3, F5) and f.degree <= 6:
+        assert is_irreducible(f) == (not _has_monic_divisor(f, f.degree // 2))
