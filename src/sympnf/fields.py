@@ -7,11 +7,12 @@ Rational scalars are plain ``fractions.Fraction`` values; finite-field
 scalars are immutable wrapper objects carrying their field context.  All
 values are canonical at construction, so equality is structural.
 
-Each field also has ``ops``: the raw values the linear-algebra kernels
+Each field also has ``ops``: the raw values that matrices and polynomials
 compute on, the codec between them and the elements, and the few scalar and
-row primitives those kernels are written in.  F_p values are residues in
-[0, p); extension fields of order <= ZECH_MAX_ORDER use Zech logarithms;
-the rationals and larger extensions use the elements themselves.
+row primitives both are written in.  F_p values are residues in [0, p);
+extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
+tables are built with polynomial products modulo the modulus; the rationals
+and larger extensions use the elements themselves.
 """
 
 from __future__ import annotations
@@ -135,6 +136,9 @@ class ObjectOps(_Ops):
     def neg(self, a):
         return -a
 
+    def mul(self, a, b):
+        return a * b
+
     def inv(self, a):
         return self.one / a
 
@@ -190,6 +194,9 @@ class ResidueOps(_Ops):
 
     def neg(self, a):
         return -a % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
 
     def inv(self, a):
         return pow(a, -1, self.p)
@@ -300,33 +307,6 @@ class ZechOps(_Ops):
         return acc
 
 
-def _reduced_powers(bops, low):
-    """x^k .. x^(2k-2) modulo the monic x^k + low[k-1] x^(k-1) + ... + low[0],
-    as base-field raw coefficient lists."""
-    k = len(low)
-    xk = [bops.neg(c) for c in low]
-    pows = [xk]
-    for _ in range(k - 2):
-        prev = pows[-1]
-        pows.append(bops.axpy(prev[-1], xk, [bops.zero] + prev[:-1]))
-    return pows
-
-
-def _mulmod(bops, xk_pows, a, b):
-    """Schoolbook product of two coefficient tuples of base-field raw values,
-    reduced with the powers from _reduced_powers."""
-    k = len(a)
-    prod = [bops.zero] * (2 * k - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            prod[i : i + k] = bops.axpy(ai, b, prod[i : i + k])
-    out = prod[:k]
-    for c, red in zip(prod[k:], xk_pows):
-        if c:
-            out = bops.axpy(c, red, out)
-    return tuple(out)
-
-
 def _zech_tables(base, modulus):
     """(exp, log, zech, mn) of base[x]/(modulus), of order q = Q^k <= ZECH_MAX_ORDER.
 
@@ -343,21 +323,21 @@ def _zech_tables(base, modulus):
     q0 = base.order
     m = q0 ** k - 1
     weights = [q0 ** i for i in range(k)]
-    xk_pows = _reduced_powers(bops, [bops.encode(c) for c in modulus[:k]])
-    one = (bops.one,) + (bops.zero,) * (k - 1)
-    mulmod = functools.partial(_mulmod, bops, xk_pows)
+    mod = Poly(base, modulus)
+    one = Poly.one(base)
 
     primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
     # codes below q0 are base-field constants, of order dividing q0 - 1 < m
     for code in range(q0, m + 1):
-        g = tuple(code // w % q0 for w in weights)
-        if all(power(g, m // r, one, mulmod) != one for r in primes):
+        g = Poly.from_raw(base, [code // w % q0 for w in weights])
+        if all(g.pow_mod(m // r, mod) != one for r in primes):
             break
-    # multiplication by g as a k x k matrix over the base field
-    by_g = list(zip(*(mulmod(one[-j:] + one[:-j], g) for j in range(k))))
+    # multiplication by g as a k x k matrix over the base field: column j is x^j g
+    cols = [(Poly.from_raw(base, [bops.zero] * j + [bops.one]) * g % mod).raw for j in range(k)]
+    by_g = list(zip(*(c + (bops.zero,) * (k - len(c)) for c in cols)))
     exp = array("H", bytes(2 * m))
     dot = bops.dot
-    x = one
+    x = (bops.one,) + (bops.zero,) * (k - 1)
     for i in range(m):
         exp[i] = sum(map(mul, x, weights))
         x = tuple([dot(r, x) for r in by_g])
@@ -642,18 +622,12 @@ class ExtensionField:
             self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else _ExtObjectOps(self)
         return self._ops
 
-    @functools.cached_property
-    def _xk_pows(self):
-        bops = self.base.ops
-        return _reduced_powers(bops, [bops.encode(c) for c in self.modulus[: self.degree]])
-
     def _schoolbook(self, a: ExtElement, b: ExtElement) -> ExtElement:
         """The product by polynomial multiplication and reduction; the Zech
         tables are tested against it."""
-        bops = self.base.ops
-        enc = bops.encode
-        prod = _mulmod(bops, self._xk_pows, tuple(map(enc, a.coeffs)), tuple(map(enc, b.coeffs)))
-        return ExtElement(self, tuple(map(bops.decode, prod)))
+        base = self.base
+        prod = Poly(base, a.coeffs) * Poly(base, b.coeffs) % Poly(base, self.modulus)
+        return ExtElement(self, prod.coeffs + (base.zero,) * (self.degree - len(prod.raw)))
 
     def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         if self.order > ZECH_MAX_ORDER:

@@ -59,6 +59,8 @@ class Mat:
         self.field = field
         self.raw = field.ops.encode_rows(rows)
         self.ncols = len(self.raw[0]) if self.raw else 0
+        if any(len(r) != self.ncols for r in self.raw):
+            raise DimensionMismatchError("matrix rows differ in length")
         self._rows = None
 
     @classmethod
@@ -444,7 +446,7 @@ def charpoly(a: Mat) -> Poly:
         # first i+2 coefficients of conv(col, prev), where len(prev) = i + 1
         rev = prev[::-1]
         prev = [dot(col[max(0, s - i) : s + 1], rev[max(i - s, 0) :]) for s in range(i + 2)]
-    return Poly(field, [ops.decode(c) for c in reversed(prev)])
+    return Poly.from_raw(field, prev[::-1])
 
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:
@@ -459,7 +461,7 @@ def mat_poly_eval(p: Poly, a: Mat) -> Mat:
     if p.is_zero():
         return Mat.zeros(field, n, n)
     ops = field.ops
-    lead, *coeffs = [ops.encode(c) for c in reversed(p.coeffs)]
+    lead, *coeffs = reversed(p.raw)
     start = a.raw if coeffs else _identity_raw(ops, n)
     acc = Mat.from_raw(field, tuple(tuple(ops.scale(lead, r)) for r in start), n)
     for k, c in enumerate(coeffs):

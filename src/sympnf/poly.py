@@ -1,6 +1,9 @@
 """Dense univariate polynomials over any supported field, with exact
 division, extended gcd, squarefree decomposition and factorization.
 
+A polynomial holds and computes on raw values of its field's ``ops``, as a
+matrix does; ``coeffs`` are the elements, decoded on first read.
+
 Over finite fields the factorization is complete (squarefree split,
 distinct-degree split, then the odd-characteristic randomized equal-degree
 split with a caller-supplied seed).  Over the rationals only rational roots
@@ -19,6 +22,7 @@ from .errors import (
     DivisionByZeroError,
     MixedFieldsError,
     NotCoprimeError,
+    RationalFieldError,
 )
 
 __all__ = [
@@ -52,30 +56,46 @@ def power(x, e: int, one, mul=operator.mul):
 
 
 class Poly:
-    """Dense polynomial; coefficients low-to-high, trailing zeros trimmed."""
+    """Dense polynomial over one field, held as raw values; coefficients
+    low-to-high, trailing zeros trimmed."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "raw", "_coeffs")
 
     def __init__(self, field, coeffs):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.field = field
-        self.coeffs = tuple(coeffs)
+        raw = list(map(field.ops.encode, coeffs))
+        while raw and not raw[-1]:
+            raw.pop()
+        self.field, self.raw, self._coeffs = field, tuple(raw), None
+
+    @classmethod
+    def from_raw(cls, field, raw):
+        """Polynomial of a sequence of raw values of field.ops, low-to-high."""
+        raw = list(raw)
+        while raw and not raw[-1]:
+            raw.pop()
+        p = cls.__new__(cls)
+        p.field, p.raw, p._coeffs = field, tuple(raw), None
+        return p
+
+    @property
+    def coeffs(self):
+        if self._coeffs is None:
+            self._coeffs = tuple(map(self.field.ops.decode, self.raw))
+        return self._coeffs
 
     # -- constructors
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls.from_raw(field, ())
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls.from_raw(field, (field.ops.one,))
 
     @classmethod
     def x(cls, field):
-        return cls(field, (field.zero, field.one))
+        return cls.from_raw(field, (field.ops.zero, field.ops.one))
 
     @classmethod
     def constant(cls, field, c):
@@ -90,18 +110,18 @@ class Poly:
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.raw) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.raw
 
     def lc(self):
-        if not self.coeffs:
+        if not self.raw:
             raise DivisionByZeroError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.field.ops.decode(self.raw[-1])
 
     def __getitem__(self, i):
-        return self.coeffs[i] if i < len(self.coeffs) else self.field.zero
+        return self.coeffs[i] if i < len(self.raw) else self.field.zero
 
     def _check(self, other) -> "Poly":
         if isinstance(other, Poly):
@@ -113,31 +133,31 @@ class Poly:
     # -- arithmetic
 
     def __add__(self, other):
-        o = self._check(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] + o[i] for i in range(n)])
+        a, b = self.raw, self._check(other).raw
+        if len(a) < len(b):
+            a, b = b, a
+        ops = self.field.ops
+        return Poly.from_raw(self.field, [*ops.axpy(ops.one, b, a), *a[len(b) :]])
 
     def __sub__(self, other):
-        o = self._check(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return Poly(self.field, [self[i] - o[i] for i in range(n)])
+        return self + -self._check(other)
 
     def __neg__(self):
-        return Poly(self.field, [-c for c in self.coeffs])
+        return Poly.from_raw(self.field, map(self.field.ops.neg, self.raw))
 
     def __mul__(self, other):
+        ops = self.field.ops
         if not isinstance(other, Poly):
-            return Poly(self.field, [c * other for c in self.coeffs])
-        o = self._check(other)
-        if self.is_zero() or o.is_zero():
+            return Poly.from_raw(self.field, ops.scale(ops.encode(other), self.raw))
+        b = self._check(other).raw
+        if not self.raw or not b:
             return Poly.zero(self.field)
-        out = [self.field.zero] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(o.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(self.field, out)
+        k = len(b)
+        out = [ops.zero] * (len(self.raw) + k - 1)
+        for i, c in enumerate(self.raw):
+            if c:
+                out[i : i + k] = ops.axpy(c, b, out[i : i + k])
+        return Poly.from_raw(self.field, out)
 
     __rmul__ = __mul__
 
@@ -146,20 +166,21 @@ class Poly:
 
     def divmod(self, other) -> tuple["Poly", "Poly"]:
         """Euclidean division: self = q * other + r with deg r < deg other."""
-        o = self._check(other)
-        if o.is_zero():
+        b = self._check(other).raw
+        if not b:
             raise DivisionByZeroError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = o.degree
-        q = [self.field.zero] * max(0, len(rem) - db)
-        inv_lc = self.field.one / o.lc()
+        ops = self.field.ops
+        db = len(b) - 1
+        inv_lc = ops.inv(b[-1])
+        low = ops.scale(ops.neg(inv_lc), b[:db])  # -b / lc(b) below the leading term
+        rem = list(self.raw)
+        q = [ops.zero] * max(0, len(rem) - db)
         for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] * inv_lc
-            if c:
-                q[i] = c
-                for j, bj in enumerate(o.coeffs):
-                    rem[i + j] = rem[i + j] - c * bj
-        return Poly(self.field, q), Poly(self.field, rem[:db])
+            top = rem[i + db]
+            if top:
+                q[i] = ops.mul(top, inv_lc)
+                rem[i : i + db] = ops.axpy(top, low, rem[i : i + db])
+        return Poly.from_raw(self.field, q), Poly.from_raw(self.field, rem[:db])
 
     def __floordiv__(self, other):
         return self.divmod(other)[0]
@@ -170,14 +191,12 @@ class Poly:
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        inv = self.field.one / self.lc()
-        return Poly(self.field, [c * inv for c in self.coeffs])
+        ops = self.field.ops
+        return Poly.from_raw(self.field, ops.scale(ops.inv(self.raw[-1]), self.raw))
 
     def derivative(self) -> "Poly":
-        return Poly(
-            self.field,
-            [self.coeffs[i] * self.field.from_int(i) for i in range(1, len(self.coeffs))],
-        )
+        ops = self.field.ops
+        return Poly.from_raw(self.field, [ops.mul(ops.encode(i), c) for i, c in enumerate(self.raw) if i])
 
     def evaluate(self, x):
         """Horner evaluation at a scalar."""
@@ -195,10 +214,10 @@ class Poly:
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+        return self.field == other.field and self.raw == other.raw
 
     def __hash__(self):
-        return hash((len(self.coeffs), self.coeffs))
+        return hash(self.raw)
 
     def __repr__(self):
         if self.is_zero():
@@ -266,9 +285,10 @@ def multi_bezout(rs: list[Poly]) -> list[Poly]:
 def _poly_pth_root(f: Poly) -> Poly:
     """For f = h(t)^p over a finite field of order q = p^k, return h; the
     p-th root of a coefficient y is y^(q/p)."""
+    ops = f.field.ops
     p = f.field.char
     e = f.field.order // p
-    return Poly(f.field, [f[i * p] ** e for i in range(f.degree // p + 1)])
+    return Poly.from_raw(f.field, [power(c, e, ops.one, ops.mul) for c in f.raw[::p]])
 
 
 def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
@@ -310,6 +330,8 @@ def squarefree_decomposition(f: Poly) -> list[tuple[Poly, int]]:
 def is_irreducible(f: Poly) -> bool:
     """Irreducibility over a finite field: f is squarefree and the
     distinct-degree split of factor() finds one factor, of degree deg f."""
+    if f.field.order is None:
+        raise RationalFieldError("irreducibility is only decided over finite fields")
     if f.degree < 1:
         return False
     g = f.monic()

@@ -108,8 +108,7 @@ def decode_matrix(field, rows) -> Mat:
 
 
 def _decode_shaped(field, rows, nrows: int, ncols: int, name: str) -> Mat:
-    """decode_matrix, rejecting any shape but nrows x ncols; Mat does not
-    check that its rows have equal length."""
+    """decode_matrix, rejecting any shape but nrows x ncols."""
     if not isinstance(rows, list) or len(rows) != nrows or any(
         not isinstance(r, list) or len(r) != ncols for r in rows
     ):

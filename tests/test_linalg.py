@@ -5,6 +5,7 @@ from itertools import permutations
 import pytest
 
 from sympnf.errors import (
+    DimensionMismatchError,
     IncompatibleFieldsError,
     InconsistentSystemError,
     NotInvariantError,
@@ -361,3 +362,13 @@ class TestScalarExtension:
             ext_kernel = kernel(eqns)
             for row in down.basis:
                 assert ext_kernel.contains(extend_scalars(Mat(F3, [row]), F9).rows[0])
+
+
+def test_rows_of_unequal_length_are_refused():
+    with pytest.raises(DimensionMismatchError):
+        Mat(F5, [[1, 2], [3]])
+    with pytest.raises(DimensionMismatchError):
+        Mat(F5, [[1], [2, 3]])
+    with pytest.raises(DimensionMismatchError):
+        Mat(QQ, [[], [1]])
+    assert Mat(F5, [[1, 2], [3, 4]]) * Mat(F5, [[1], [1]]) == Mat(F5, [[3], [2]])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sympnf.errors import DivisionByZeroError, NotCoprimeError
-from sympnf.fields import PrimeField, QQ, make_field
+from sympnf.errors import DivisionByZeroError, NotCoprimeError, RationalFieldError
+from sympnf.fields import ExtensionField, PrimeField, QQ, make_field
 from sympnf.linalg import Mat
 from sympnf.poly import (
     Poly,
@@ -184,6 +184,12 @@ class TestIrreducibility:
                 f = Poly.from_ints(F3, [c0, c1, 1])
                 has_root = any(not f.evaluate(F3.from_int(x)) for x in range(3))
                 assert is_irreducible(f) == (not has_root)
+
+    def test_refused_over_the_rationals(self):
+        with pytest.raises(RationalFieldError):
+            is_irreducible(Poly.from_ints(QQ, [1, 0, 1]))
+        with pytest.raises(RationalFieldError):
+            ExtensionField(QQ, [1, 0, 1])
 
 
 class TestFactor:

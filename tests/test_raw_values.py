@@ -30,7 +30,7 @@ from sympnf.linalg import (
     restrict_scalars,
     rref,
 )
-from sympnf.poly import Poly, is_irreducible
+from sympnf.poly import Poly, _poly_pth_root, is_irreducible
 from sympnf.symplectic import SymplecticSpace, form_eval
 
 F3 = PrimeField(3)
@@ -225,6 +225,10 @@ def test_an_element_of_another_field_is_refused(field, stranger):
         Mat.identity(field, 2) * stranger
     with pytest.raises(MixedFieldsError):
         form_eval(SymplecticSpace(field, 1), (one, stranger), (one, one))
+    with pytest.raises(MixedFieldsError):
+        Poly(field, [one, stranger])
+    with pytest.raises(MixedFieldsError):
+        Poly.x(field) * stranger
 
 
 def test_ints_are_lifted_into_the_field():
@@ -233,3 +237,70 @@ def test_ints_are_lifted_into_the_field():
     assert a.matvec((1, 0)) == (F5.one, F5.from_int(3))
     assert form_eval(SymplecticSpace(F25, 1), (1, 0), (0, 7)) == F25.from_int(2)
     assert Mat(QQ, [[1, 2]]).rows == ((Fraction(1), Fraction(2)),)
+    assert Poly(F5, [6, 0]) == Poly(F5, [F5.one])
+
+
+# --- polynomials on raw values against element loops --------------------------
+
+
+def _trimmed(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(field, a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [field.zero] * (n - len(a)), list(b) + [field.zero] * (n - len(b))
+    return _trimmed(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(field, a, b):
+    out = [field.zero] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = out[i + j] + _reference_mul(field, x, y)
+    return _trimmed(out)
+
+
+def polys(field, max_degree=4):
+    return st.lists(elements(field), max_size=max_degree + 1).map(lambda cs: Poly(field, cs))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_raw_polynomials_agree_with_element_loops(field, data):
+    f, g = data.draw(polys(field)), data.draw(polys(field))
+    a, b = f.coeffs, g.coeffs
+    assert f.raw == tuple(map(field.ops.encode, a)) and (not a or a[-1])
+    assert (f + g).coeffs == _ref_add(field, a, b)
+    assert (f - g).coeffs == _ref_add(field, a, [-y for y in b])
+    assert (-f).coeffs == _trimmed(-x for x in a)
+    assert (f * g).coeffs == _ref_mul(field, a, b)
+    c = data.draw(elements(field))
+    assert (f * c).coeffs == _trimmed(_reference_mul(field, x, c) for x in a)
+    if not g.is_zero():
+        q, r = f.divmod(g)
+        assert _ref_add(field, _ref_mul(field, q.coeffs, b), r.coeffs) == a
+        assert r.degree < g.degree
+    if not f.is_zero():
+        m = f.monic()
+        assert m.lc() == field.one
+        assert _trimmed(_reference_mul(field, f.lc(), x) for x in m.coeffs) == a
+    assert f.derivative().coeffs == _trimmed(_reference_mul(field, x, field.from_int(i)) for i, x in enumerate(a))[1:]
+    e = data.draw(st.integers(0, 5))
+    if g.degree > 0:
+        acc = Poly.one(field) % g
+        for _ in range(e):
+            acc = Poly(field, _ref_mul(field, acc.coeffs, a)) % g
+        assert f.pow_mod(e, g) == acc
+
+
+@pytest.mark.parametrize("field", FIELDS[1:], ids=IDS[1:])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_the_pth_root_undoes_the_pth_power(field, data):
+    f = data.draw(polys(field, max_degree=2))
+    assert _poly_pth_root(f ** field.char) == f
