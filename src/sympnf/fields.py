@@ -230,7 +230,7 @@ class ZechOps(_Ops):
         self.field = field
         self.base_ops = base.ops
         self.m = field.order - 1
-        self.exp, self.log, self.zech, self.mn = _zech_tables(base, field.modulus)
+        self.exp, self.log, self.zech, self.mn = _zech_tables(field._mod)
         self.base_order = base.order
         self.weights = tuple(base.order ** i for i in range(field.degree))
         self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
@@ -307,8 +307,9 @@ class ZechOps(_Ops):
         return acc
 
 
-def _zech_tables(base, modulus):
-    """(exp, log, zech, mn) of base[x]/(modulus), of order q = Q^k <= ZECH_MAX_ORDER.
+def _zech_tables(mod):
+    """(exp, log, zech, mn) of base[x]/(mod), for mod a Poly over the base
+    field, of order q = Q^k <= ZECH_MAX_ORDER.
 
     An element is coded as sum(c_i Q^i) over its base-field raw coefficients
     c_i in [0, Q).  exp[k] is the code of g^k; log[code] the raw value; zech[d]
@@ -318,12 +319,12 @@ def _zech_tables(base, modulus):
     (base, modulus) and compare equal across equal field objects.  Each field
     builds its tables once, on first use of its ``ops``.
     """
+    base = mod.field
     bops = base.ops
-    k = len(modulus) - 1
+    k = mod.degree
     q0 = base.order
     m = q0 ** k - 1
     weights = [q0 ** i for i in range(k)]
-    mod = Poly(base, modulus)
     one = Poly.one(base)
 
     primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
@@ -594,10 +595,14 @@ class ExtensionField:
             raise ReducibleModulusError("extension modulus must have degree >= 2")
         if modulus[-1] != base.one:
             raise ReducibleModulusError("extension modulus must be monic")
-        if check_irreducible and not is_irreducible(Poly(base, modulus)):
+        if base.order is None:
+            raise RationalFieldError("extension fields are only built over finite fields")
+        mod = Poly(base, modulus)
+        if check_irreducible and not is_irreducible(mod):
             raise ReducibleModulusError("extension modulus is reducible over the base field")
         self.base = base
         self.modulus = modulus
+        self._mod = mod
         self.degree = k
         self.char = base.char
         self.order = base.order ** k
@@ -626,7 +631,7 @@ class ExtensionField:
         """The product by polynomial multiplication and reduction; the Zech
         tables are tested against it."""
         base = self.base
-        prod = Poly(base, a.coeffs) * Poly(base, b.coeffs) % Poly(base, self.modulus)
+        prod = Poly(base, a.coeffs) * Poly(base, b.coeffs) % self._mod
         return ExtElement(self, prod.coeffs + (base.zero,) * (self.degree - len(prod.raw)))
 
     def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
@@ -642,7 +647,7 @@ class ExtensionField:
             ops = self.ops
             return ops.decode(ops.inv(ops.encode(a)))
         # modulus first: dividing it by a is the first step, not a swap
-        _, _, t = poly_xgcd(Poly(self.base, self.modulus), Poly(self.base, a.coeffs))
+        _, _, t = poly_xgcd(self._mod, Poly(self.base, a.coeffs))
         return ExtElement(self, t.coeffs + (self.base.zero,) * (self.degree - len(t.coeffs)))
 
     def sort_key(self, x: ExtElement):

@@ -7,8 +7,9 @@ matrix does; ``coeffs`` are the elements, decoded on first read.
 Over finite fields the factorization is complete (squarefree split,
 distinct-degree split, then the odd-characteristic randomized equal-degree
 split with a caller-supplied seed).  Over the rationals only rational roots
-are extracted; remaining nonlinear factors come back in the ``unresolved``
-slot of the Factorization rather than as an error.
+are extracted, by Newton lifting of the roots modulo a prime, with no search
+of divisors; remaining nonlinear factors come back in the ``unresolved`` slot
+of the Factorization rather than as an error.
 """
 
 from __future__ import annotations
@@ -389,21 +390,32 @@ def _equal_degree(f: Poly, d: int, rng: random.Random) -> list[Poly]:
 # --- rational root extraction ----------------------------------------------
 
 
-def _divisors(n: int) -> list[int]:
-    n = abs(n)
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted(out)
+def _eval_mod(ints, x: int, m: int) -> int:
+    """The integer polynomial with coefficients ints (low-to-high) at x, mod m."""
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % m
+    return acc
 
 
 def _rational_roots(f: Poly) -> list:
-    """All rational roots of a squarefree f over QQ (each simple)."""
+    """All rational roots of a squarefree f over QQ (each simple), by Newton
+    lifting of its roots modulo a prime.
+
+    Let f, with the zero roots taken out, be primitive in Z[t] with leading
+    coefficient lc and constant term c0, and let p be the first odd prime
+    with p ∤ lc for which f mod p is squarefree.  A rational root a/b in
+    lowest terms has a | c0 and b | lc, so y = lc*a/b is an integer with
+    |y| <= |c0*lc|.  As p ∤ b, a/b is a root of f mod p, simple there, and
+    Newton's iteration lifts it uniquely to a root r mod M = p^(2^k); once
+    M > 2|c0*lc| the symmetric residue of lc*r mod M is y itself.  So every
+    rational root is some y/lc, and y/lc is kept when it is a root of f.
+    A prime is passed over only when it divides lc*disc(f), which is
+    nonzero because f is squarefree, so the search for p ends.
+    """
     from fractions import Fraction
+
+    from .fields import PrimeField, is_prime
 
     field = f.field
     roots = []
@@ -417,13 +429,29 @@ def _rational_roots(f: Poly) -> list:
     ints = [int(c * denom) for c in f.coeffs]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
-    for num in _divisors(ints[0]):
-        for den in _divisors(ints[-1]):
-            if math.gcd(num, den) != 1:
-                continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if f.evaluate(cand) == 0:
-                    roots.append(cand)
+    c0, lc = ints[0], ints[-1]
+    p = 3
+    while True:
+        if lc % p and is_prime(p):
+            fp = Poly.from_ints(PrimeField(p), ints).monic()
+            if poly_gcd(fp, fp.derivative()).degree == 0:
+                break
+        p += 2
+    deriv = [i * c for i, c in enumerate(ints)][1:]
+    bound = 2 * abs(c0 * lc)
+    rng = random.Random(p)
+    for part, d in _distinct_degree(fp):
+        if d != 1:
+            continue
+        for lin in _equal_degree(part, 1, rng):
+            r, m = -lin.raw[0] % p, p
+            while m <= bound:
+                m *= m
+                r = (r - _eval_mod(ints, r, m) * pow(_eval_mod(deriv, r, m), -1, m)) % m
+            y = lc * r % m
+            cand = Fraction(y - m if 2 * y > m else y, lc)
+            if f.evaluate(cand) == 0:
+                roots.append(cand)
     return roots
 
 

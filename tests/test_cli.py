@@ -211,6 +211,13 @@ def _instance_file(tmp_path, name, sp, a):
     return _write(tmp_path, name, dumps_canonical(instance_to_json(sp, a)))
 
 
+def _run_cli(*args, timeout=20):
+    """The CLI of this checkout in a fresh interpreter, cut off after timeout seconds."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sympnf.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "sympnf.cli", *args], env=env, capture_output=True, timeout=timeout)
+
+
 class TestCliExitCodes:
     def test_check_true(self, tmp_path, capsys):
         sp = SymplecticSpace(F5, 1)
@@ -306,13 +313,9 @@ class TestFieldOrderBound:
 
     def test_a_degree_240_descriptor_exits_3_at_once(self, tmp_path):
         """x^240 + x + 2 over F_3: an irreducibility test on it alone runs for minutes."""
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sympnf.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         for command, path in self._degree_240_files(tmp_path):
             start = time.perf_counter()
-            done = subprocess.run(
-                [sys.executable, "-m", "sympnf.cli", command, path], env=env, capture_output=True, timeout=20
-            )
+            done = _run_cli(command, path)
             assert done.returncode == EXIT_PARSE, (command, done.stderr)
             assert time.perf_counter() - start < 1.0, command
 
@@ -349,6 +352,16 @@ class TestCliPipeline:
 
     def test_extension_roundtrip(self, tmp_path, capsys):
         self._roundtrip(tmp_path, capsys, "ext:3:1,0,1", "(0,1):[1];(1,0):[1]")
+
+    def test_a_21_digit_rational_eigenvalue_does_not_hang(self, tmp_path):
+        """λ·I on QQ^2 with λ of 21 digits: a search of λ's divisors up to √λ
+        takes some 10^10 steps, so it would run into the timeout."""
+        lam = Fraction(123456789012345678901)
+        inst = _instance_file(tmp_path, "inst.json", SymplecticSpace(QQ, 1), Mat(QQ, [[lam, 0], [0, lam]]))
+        cert = str(tmp_path / "cert.json")
+        for args in (("normal-form", inst, "-o", cert), ("verify", cert)):
+            done = _run_cli(*args)
+            assert done.returncode == EXIT_OK, (args, done.stderr)
 
     def test_tampered_certificate_fails_verify(self, tmp_path, capsys):
         _, cert, _ = self._roundtrip(tmp_path, capsys, "prime:5", "2:[1]")
@@ -493,9 +506,8 @@ def _fuzz_value(doc):
 @given(data=st.data())
 def test_check_and_verify_exit_0_to_3_on_mutated_files(fuzz_documents, tmp_path_factory, data):
     """Replace, delete or append values anywhere in a valid instance or
-    certificate; check and verify end in exit 0-3, and no exception escapes
-    main.  normal-form is left out: rational eigenvalues of 17 digits still
-    make it hang, and this test must not choose its data around that."""
+    certificate; check, verify and normal-form end in exit 0-3, and no
+    exception escapes main."""
     doc = copy.deepcopy(data.draw(st.sampled_from(fuzz_documents), label="document"))
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         target = data.draw(st.sampled_from(list(_containers(doc))), label="container")
@@ -519,5 +531,6 @@ def test_check_and_verify_exit_0_to_3_on_mutated_files(fuzz_documents, tmp_path_
     path = str(tmp_path_factory.getbasetemp() / "fuzz.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    for command in ("check", "verify"):
-        assert main([command, path]) in (EXIT_OK, EXIT_PREDICATE_FALSE, EXIT_UNSUPPORTED, EXIT_PARSE)
+    out = str(tmp_path_factory.getbasetemp() / "fuzz-cert.json")
+    for args in (["check", path], ["verify", path], ["normal-form", path, "-o", out]):
+        assert main(args) in (EXIT_OK, EXIT_PREDICATE_FALSE, EXIT_UNSUPPORTED, EXIT_PARSE)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -190,6 +191,8 @@ class TestIrreducibility:
             is_irreducible(Poly.from_ints(QQ, [1, 0, 1]))
         with pytest.raises(RationalFieldError):
             ExtensionField(QQ, [1, 0, 1])
+        with pytest.raises(RationalFieldError):
+            ExtensionField(QQ, [1, 0, 1], check_irreducible=False)
 
 
 class TestFactor:
@@ -274,6 +277,114 @@ def test_factor_order_is_canonical():
         f = parts[0] * parts[1] * parts[2]
         fac = factor(f)
         assert [g for g, _ in fac.factors] == [t, t + one, t + one * 4]
+
+
+# --- rational roots ----------------------------------------------------------
+
+
+def _linear(r):
+    return Poly(QQ, [-r, Fraction(1)])
+
+
+@st.composite
+def _rational_root_cases(draw):
+    """(f, its roots with multiplicities, its unit, its unresolved part): roots
+    with numerators to 10^30 and denominators to 10^6, some repeated, maybe
+    zero, times a rational scale and maybe a power of t^2 + c, c > 0."""
+    roots = {}
+    fractions = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+    for r in draw(st.lists(fractions, max_size=4)) + [Fraction(0)] * draw(st.booleans()):
+        roots[r] = roots.get(r, 0) + draw(st.integers(1, 3))
+    unresolved = ()
+    if draw(st.booleans()) or not roots:
+        c = draw(st.builds(Fraction, st.integers(1, 10**12), st.integers(1, 10**6)))
+        unresolved = ((Poly(QQ, [c, Fraction(0), Fraction(1)]), draw(st.integers(1, 2))),)
+    unit = draw(st.builds(Fraction, st.integers(1, 10**6), st.integers(1, 10**6))) * draw(st.sampled_from((1, -1)))
+    f = Poly.constant(QQ, unit)
+    for g, m in [(_linear(r), m) for r, m in roots.items()] + list(unresolved):
+        f = f * g ** m
+    return f, roots, unit, unresolved
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_rational_root_cases())
+def test_factor_returns_exactly_the_rational_roots(case):
+    f, roots, unit, unresolved = case
+    fac = factor(f)
+    assert fac.unit == unit
+    assert fac.factors == tuple(sorted(((_linear(r), m) for r, m in roots.items()), key=lambda fm: fm[0].sort_key()))
+    assert fac.unresolved == unresolved
+
+
+def _divisors_by_trial_division(n):
+    n = abs(n)
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in small]
+
+
+def _rational_roots_by_trial_division(f):
+    """Oracle: every a/b with a | c0 and b | lc of the primitive integer form
+    of f, tried one by one, with multiplicity by repeated division."""
+    scale = math.lcm(*[c.denominator for c in f.coeffs])
+    ints = [int(c * scale) for c in f.coeffs]
+    roots = {}
+    while not ints[0]:
+        roots[Fraction(0)] = roots.get(Fraction(0), 0) + 1
+        ints = ints[1:]
+    candidates = {
+        Fraction(s * a, b)
+        for a in _divisors_by_trial_division(ints[0])
+        for b in _divisors_by_trial_division(ints[-1])
+        for s in (1, -1)
+    }
+    for r in candidates:
+        g = f
+        while g.evaluate(r) == 0:
+            roots[r] = roots.get(r, 0) + 1
+            g = g // _linear(r)
+    return roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    roots=st.lists(st.builds(Fraction, st.integers(-50, 50), st.integers(1, 50)), max_size=3),
+    cofactor=st.lists(st.integers(-50, 50), min_size=1, max_size=4).filter(any),
+)
+def test_factor_matches_a_trial_division_oracle_at_small_height(roots, cofactor):
+    """Roots and an arbitrary integer cofactor of height at most 50."""
+    f = Poly.from_ints(QQ, cofactor)
+    for r in roots:
+        f = f * _linear(r)
+    if f.degree < 1:
+        return
+    fac = factor(f)
+    assert {-g.coeffs[0]: m for g, m in fac.factors if g.degree == 1} == _rational_roots_by_trial_division(f)
+
+
+@pytest.mark.parametrize(
+    "ints,primes,roots",
+    [
+        ([-1, 15], [7], [Fraction(1, 15)]),  # 3 and 5 divide the leading coefficient
+        ([4, -5, 1], [3, 5], [Fraction(4), Fraction(1)]),  # (t - 1)(t - 4) has a double root mod 3
+    ],
+    ids=["15t-1", "(t-1)(t-4)"],
+)
+def test_the_root_search_passes_over_unfit_primes(monkeypatch, ints, primes, roots):
+    """The primes tried are exactly those up to the first odd one that does not
+    divide the leading coefficient and keeps f squarefree."""
+    import sympnf.fields
+
+    tried = []
+
+    class Spy(PrimeField):
+        def __init__(self, p):
+            tried.append(p)
+            super().__init__(p)
+
+    monkeypatch.setattr(sympnf.fields, "PrimeField", Spy)
+    fac = factor(Poly.from_ints(QQ, ints))
+    assert tried == primes
+    assert [-g.coeffs[0] for g, _ in fac.factors] == roots
 
 
 # --- one square-and-multiply -------------------------------------------------
