@@ -588,7 +588,7 @@ class ExtensionField:
 
     kind = "extension"
 
-    def __init__(self, base, modulus, check_irreducible: bool = True):
+    def __init__(self, base, modulus):
         modulus = tuple(modulus)
         k = len(modulus) - 1
         if k < 2:
@@ -598,7 +598,7 @@ class ExtensionField:
         if base.order is None:
             raise RationalFieldError("extension fields are only built over finite fields")
         mod = Poly(base, modulus)
-        if check_irreducible and not is_irreducible(mod):
+        if not is_irreducible(mod):
             raise ReducibleModulusError("extension modulus is reducible over the base field")
         self.base = base
         self.modulus = modulus

@@ -45,14 +45,15 @@ from .linalg import (
     inverse,
     kernel,
     mat_poly_eval,
+    restrict_operator,
     restrict_scalars,
     solve,
 )
 from .poly import Factorization, Poly, factor, multi_bezout
 from .symplectic import (
     SymplecticSpace,
+    _darboux_columns,
     adjoint,
-    darboux_from_lagrangian_pair,
     gram,
     is_self_adjoint,
     is_symplectic_matrix,
@@ -357,8 +358,7 @@ def _component_lagrangians(space: SymplecticSpace, a: Mat, p: Poly, m: int):
     if p.degree == 1:
         ext, ext_space, op, root = field, space, a, -p.coeffs[0]
     else:
-        # p is a factor from factor(), so irreducible
-        ext = ExtensionField(field, p.coeffs, check_irreducible=False)
+        ext = ExtensionField(field, p.coeffs)
         ext_space, op, root = SymplecticSpace(ext, space.n), extend_scalars(a, ext), ext.gen
     chains = _eigen_chains(ext_space, op, root, m)
     if 2 * sum(pair.d for pair in chains) != m:
@@ -385,18 +385,16 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
 
 def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[Mat, Mat]:
     """descent_normal_form once a is known self-adjoint and fac factors
-    charpoly(a); the caller verifies the result."""
-    field = space.field
-    n = space.n
+    charpoly(a); the caller verifies the result, which implies every other
+    property of the pair.  C is U's RREF basis and its dual basis in W,
+    whose rows go in as they come; B is a restricted to U."""
     lagrangians = [_component_lagrangians(space, a, p, m) for p, m in fac.factors]
-    # n rows in all, so each span has dimension n exactly when its rows are independent
-    u_total = Subspace._span(field, space.dim, [r for u, _ in lagrangians for r in u])
-    w_total = Subspace._span(field, space.dim, [r for _, w in lagrangians for r in w])
-    if u_total.dim != n or w_total.dim != n:
-        raise InternalDescentFailureError("lagrangian spans have the wrong dimension")
-    c = darboux_from_lagrangian_pair(space, a, u_total, w_total)
-    # c is symplectic, so c^-1 is its adjoint; B is the top-left block of c^-1 a c
-    return c, adjoint(space, c).submatrix(0, n, 0, 2 * n) * a * c.submatrix(0, 2 * n, 0, n)
+    u = Subspace._span(space.field, space.dim, [r for us, _ in lagrangians for r in us])
+    # n rows in all, so the span has dimension n exactly when they are independent
+    if u.dim != space.n:
+        raise InternalDescentFailureError("lagrangian span has the wrong dimension")
+    ws = Mat.from_raw(space.field, tuple(r for _, w in lagrangians for r in w), space.dim)
+    return _darboux_columns(u.basis_matrix(), ws), restrict_operator(a, u)
 
 
 # --- orchestration ----------------------------------------------------------

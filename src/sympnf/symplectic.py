@@ -18,13 +18,8 @@ from __future__ import annotations
 
 import random
 
-from .errors import (
-    DimensionMismatchError,
-    NotComplementaryError,
-    NotInvariantError,
-    NotLagrangianError,
-)
-from .linalg import Mat, Subspace, inverse, kernel, rref
+from .errors import DimensionMismatchError, NotComplementaryError, NotLagrangianError
+from .linalg import Mat, Subspace, inverse, kernel, restrict_operator, rref
 
 __all__ = [
     "SymplecticSpace",
@@ -126,9 +121,9 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
     """Darboux basis matrix C = [u | w] from complementary a-invariant
     lagrangians; the matrix of a in this basis is exactly diag(B, B^T).
 
-    The u-columns are the canonical RREF basis of u; the w-columns are
-    solved inside w so that sigma(u_i, w_j) = delta_ij, which is the
-    normalization making C symplectic under this package's convention.
+    The u-columns are the canonical RREF basis of u; the w-columns are its
+    dual basis in w (``_darboux_columns``).  Invariance is tested by
+    ``restrict_operator``, whose result is B.
     """
     _check_square(space, a)
     for s, name in ((u, "u"), (w, "w")):
@@ -136,15 +131,17 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
             raise NotLagrangianError(f"{name}-subspace is not lagrangian")
     if u.sum(w).dim != space.dim:
         raise NotComplementaryError("subspaces are not complementary")
-    um, wm = u.basis_matrix(), w.basis_matrix()
-    at = a.transpose()
-    for s, sm in ((u, um), (w, wm)):
-        # the rows of S A^T are the images a b of the basis vectors b of s
-        if not all(s._contains_raw(r) for r in (sm * at).raw):
-            raise NotInvariantError("subspace is not invariant under the operator")
-    # sigma pairs complementary lagrangians nondegenerately, so the gram is invertible
+    for s in (u, w):
+        restrict_operator(a, s)
+    return _darboux_columns(u.basis_matrix(), w.basis_matrix())
+
+
+def _darboux_columns(um: Mat, wm: Mat) -> Mat:
+    """Symplectic C = [u | w'] from a lagrangian basis um and any n rows wm
+    spanning a complementary lagrangian: w' = inverse(gram(um, wm))^T wm is
+    the one basis of that span with sigma(u_i, w'_j) = delta_ij."""
     dual = inverse(gram(um, wm)).transpose() * wm
-    return Mat.from_raw(space.field, tuple(zip(*(um.raw + dual.raw))))
+    return Mat.from_raw(um.field, tuple(zip(*(um.raw + dual.raw))))
 
 
 def random_symplectic(space: SymplecticSpace, rng: random.Random) -> Mat:

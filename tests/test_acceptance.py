@@ -33,6 +33,8 @@ from sympnf.symplectic import (
     is_symplectic_matrix,
 )
 
+from independent_checker import certificate_holds
+
 F3 = PrimeField(3)
 F5 = PrimeField(5)
 F101 = PrimeField(101)
@@ -181,6 +183,11 @@ def test_corpus_certificates_are_byte_identical():
     for idx in range(len(CORPUS)):
         h.update(dumps_canonical(certificate_to_json(_cert(idx))).encode("utf-8"))
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+def test_corpus_certificates_pass_the_independent_checker():
+    for idx in range(len(CORPUS)):
+        assert certificate_holds(dumps_canonical(certificate_to_json(_cert(idx)))), CORPUS[idx].label
 
 
 # --- criterion 2: projection identities -------------------------------------

@@ -191,8 +191,6 @@ class TestIrreducibility:
             is_irreducible(Poly.from_ints(QQ, [1, 0, 1]))
         with pytest.raises(RationalFieldError):
             ExtensionField(QQ, [1, 0, 1])
-        with pytest.raises(RationalFieldError):
-            ExtensionField(QQ, [1, 0, 1], check_irreducible=False)
 
 
 class TestFactor:

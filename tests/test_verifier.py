@@ -13,9 +13,10 @@ from hypothesis import strategies as st
 
 import sympnf.linalg as linalg
 import sympnf.normalform as nf
+import sympnf.symplectic as symplectic
 from sympnf.errors import InternalDescentFailureError
 from sympnf.fields import PrimeField, QQ
-from sympnf.linalg import Mat, charpoly, inverse
+from sympnf.linalg import Mat, Subspace, charpoly, inverse
 from sympnf.normalform import (
     NormalFormCertificate,
     VerificationReport,
@@ -28,8 +29,10 @@ from sympnf.normalform import (
     verify_certificate,
 )
 from sympnf.poly import Poly
+from sympnf.serialize import certificate_to_json, dumps_canonical
 from sympnf.symplectic import SymplecticSpace, is_symplectic_matrix
 
+from independent_checker import certificate_holds
 from test_raw_values import F9, _first_irreducible
 
 F5 = PrimeField(5)
@@ -83,12 +86,14 @@ def _partition(draw, total):
 @st.composite
 def pipeline_certificates(draw):
     """A certificate of symplectic_normal_form over F_5, F_9 or QQ, of the
-    jordan case or (finite fields) the descent case."""
+    jordan case or (finite fields) the descent case, whose chains over
+    F_q[t]/(p) have height 1 (p) or 2 (p squared)."""
     field = draw(st.sampled_from([F5, F9, QQ]))
-    descent = field is not QQ and draw(st.booleans())
-    n = draw(st.integers(2 if descent else 1, 3))
-    spec = [("companion", QUADRATIC[field], (1,))] if descent else []
-    rest = n - 2 * len(spec)
+    height = draw(st.integers(1, 2)) if field is not QQ and draw(st.booleans()) else 0
+    descent = height > 0
+    n = draw(st.integers(2 * height, 2 * height + 1) if descent else st.integers(1, 3))
+    spec = [("companion", QUADRATIC[field], (height,))] if descent else []
+    rest = n - 2 * height
     if rest:
         lam = field.from_int(draw(st.integers(0, 2)))
         spec.append(("jordan", lam, _partition(draw, rest)))
@@ -97,6 +102,10 @@ def pipeline_certificates(draw):
     cert = symplectic_normal_form(space, a)
     assert cert.case == ("descent" if descent else "jordan")
     return cert
+
+
+def _text(cert):
+    return dumps_canonical(certificate_to_json(cert))
 
 
 def _changed_entry(m: Mat, i: int, j: int, delta) -> Mat:
@@ -125,6 +134,12 @@ def _tamperings(data, cert):
         spec = [list(sizes) for _, sizes in cert.jordan_spec]
         spec[i % len(spec)][0] += 1
         yield replace(cert, jordan_spec=tuple((lam, tuple(s)) for (lam, _), s in zip(cert.jordan_spec, spec)))
+        # one eigenvalue moved, B kept: B no longer has the claimed Jordan form
+        lams = [lam for lam, _ in cert.jordan_spec]
+        lams[i % len(lams)] += delta
+        moved = replace(cert, jordan_spec=tuple((lam, sizes) for lam, (_, sizes) in zip(lams, cert.jordan_spec)))
+        assert not verify_certificate(moved).checks["jordan_form"]
+        yield moved
 
 
 @settings(max_examples=40, deadline=None)
@@ -134,8 +149,34 @@ def test_verdicts_match_the_reference(data):
     report = verify_certificate(cert)
     assert report.ok
     assert report.checks == reference_verify(cert).checks == cert.checks
+    assert certificate_holds(_text(cert))
     for tampered in _tamperings(data, cert):
-        assert verify_certificate(tampered).checks == reference_verify(tampered).checks
+        checks = verify_certificate(tampered).checks
+        assert checks == reference_verify(tampered).checks
+        held = certificate_holds(_text(tampered))
+        assert held == (checks["symplectic_basis"] and checks["conjugation"])
+        if tampered.matrix != cert.matrix or tampered.block != cert.block:
+            assert not held
+
+
+@pytest.mark.parametrize("field", [F5, F9, QQ], ids=["F5", "F9", "QQ"])
+def test_the_independent_checker_refuses_a_changed_block_or_basis(field):
+    space = SymplecticSpace(field, 3)
+    spec = [("jordan", field.from_int(2), (2, 1))]
+    if field is not QQ:
+        spec = [("companion", QUADRATIC[field], (1,)), ("jordan", field.one, (1,))]
+    cert = symplectic_normal_form(space, random_self_adjoint(space, random.Random(29), spec))
+    assert certificate_holds(_text(cert))
+    rows = list(cert.basis.rows)
+    rows[1] = (field.zero,) * len(rows)
+    for tampered in (
+        replace(cert, block=_changed_entry(cert.block, 0, 1, field.one)),
+        replace(cert, basis=_changed_entry(cert.basis, 2, 0, field.one)),
+        replace(cert, basis=cert.basis * _scalar_with_square_not_one(field)),
+        replace(cert, basis=Mat(field, rows)),
+    ):
+        assert not verify_certificate(tampered).ok
+        assert not certificate_holds(_text(tampered))
 
 
 def test_conjugation_with_a_non_square_block_is_not_a_charpoly_square():
@@ -206,6 +247,7 @@ def _descent_instance():
 
 
 def test_descent_core_neither_inverts_nor_compares_blocks(monkeypatch):
+    """Nor does it check the lagrangian pair again: C and B alone are verified."""
     space, a = _descent_instance()
     fac = _self_adjoint_factorization(space, a, 0, "not self-adjoint")
 
@@ -213,7 +255,11 @@ def test_descent_core_neither_inverts_nor_compares_blocks(monkeypatch):
         raise AssertionError("called")
 
     monkeypatch.setattr(nf, "inverse", refused)
+    monkeypatch.setattr(nf, "adjoint", refused)
     monkeypatch.setattr(Mat, "block_diag", refused)
+    monkeypatch.setattr(Subspace, "sum", refused)
+    monkeypatch.setattr(symplectic, "classify_subspace", refused)
+    monkeypatch.setattr(symplectic, "darboux_from_lagrangian_pair", refused)
     c, b = nf._descent_core(space, a, fac)
     monkeypatch.undo()
     assert verify_certificate(NormalFormCertificate(space, a, c, b, "descent", None)).ok
