@@ -37,6 +37,9 @@ EXIT_PREDICATE_FALSE = 1
 EXIT_UNSUPPORTED = 2
 EXIT_PARSE = 3
 
+# the largest n that `random` builds: over QQ n = 64 takes about 2 s, n = 128 took 242 s
+RANDOM_MAX_N = 64
+
 
 def _load_json(path: str):
     try:
@@ -163,6 +166,8 @@ def cmd_random(args) -> int:
             total += entry[1].degree * sum(entry[2])
     if args.n is not None and args.n != total:
         raise InstanceParseError(f"--spec dimensions sum to {total}, but --n is {args.n}")
+    if total > RANDOM_MAX_N:
+        raise InstanceParseError(f"--spec dimensions sum to {total}; random builds n <= {RANDOM_MAX_N}")
     space = SymplecticSpace(field, total)
     rng = random.Random(args.seed)
     try:

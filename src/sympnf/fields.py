@@ -11,8 +11,13 @@ Each field also has ``ops``: the raw values that matrices and polynomials
 compute on, the codec between them and the elements, and the few scalar and
 row primitives both are written in.  F_p values are residues in [0, p);
 extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
-tables are built with polynomial products modulo the modulus; the rationals
-and larger extensions use the elements themselves.
+tables are built with polynomial products modulo the modulus on the first use
+of the field's ``ops``; the rationals and larger extensions use the elements
+themselves.  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
+
+Extension-field elements never touch their field's ``ops``: at every order a product is a
+polynomial product reduced modulo the modulus and an inverse an extended gcd
+with it, so the elements are an independent reference for the tables.
 """
 
 from __future__ import annotations
@@ -627,25 +632,14 @@ class ExtensionField:
             self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else _ExtObjectOps(self)
         return self._ops
 
-    def _schoolbook(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        """The product by polynomial multiplication and reduction; the Zech
-        tables are tested against it."""
+    def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
         base = self.base
         prod = Poly(base, a.coeffs) * Poly(base, b.coeffs) % self._mod
         return ExtElement(self, prod.coeffs + (base.zero,) * (self.degree - len(prod.raw)))
 
-    def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:
-        if self.order > ZECH_MAX_ORDER:
-            return self._schoolbook(a, b)
-        ops = self.ops
-        return ops.decode(ops.mul(ops.encode(a), ops.encode(b)))
-
     def _inv(self, a: ExtElement) -> ExtElement:
         if not a:
             raise DivisionByZeroError("inversion of zero in extension field")
-        if self.order <= ZECH_MAX_ORDER:
-            ops = self.ops
-            return ops.decode(ops.inv(ops.encode(a)))
         # modulus first: dividing it by a is the first step, not a swap
         _, _, t = poly_xgcd(self._mod, Poly(self.base, a.coeffs))
         return ExtElement(self, t.coeffs + (self.base.zero,) * (self.degree - len(t.coeffs)))

@@ -125,6 +125,8 @@ def field_to_json(field):
     if isinstance(field, PrimeField):
         return {"kind": "prime", "p": str(field.p)}
     if isinstance(field, ExtensionField):
+        if not isinstance(field.base, PrimeField):
+            raise InstanceParseError(f"{field!r} is a tower: only extensions of a prime field have a file format")
         return {
             "kind": "extension",
             "p": str(field.base.p),

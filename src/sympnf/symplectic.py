@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 
-from .errors import DimensionMismatchError, NotComplementaryError, NotLagrangianError
+from .errors import DimensionMismatchError, NotComplementaryError, NotLagrangianError, SingularMatrixError
 from .linalg import Mat, Subspace, inverse, kernel, restrict_operator, rref
 
 __all__ = [
@@ -173,7 +173,7 @@ def _times_random_generator(space: SymplecticSpace, c: Mat | None, rng: random.R
             try:
                 s_inv_t = inverse(s).transpose()
                 break
-            except Exception:
+            except SingularMatrixError:
                 continue
         gen = _blocks(field, s, z, z, s_inv_t)
     elif kind in (1, 2):

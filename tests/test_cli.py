@@ -17,12 +17,13 @@ from sympnf.cli import (
     EXIT_PARSE,
     EXIT_PREDICATE_FALSE,
     EXIT_UNSUPPORTED,
+    RANDOM_MAX_N,
     main,
     parse_block_spec,
     parse_field_flag,
 )
 from sympnf.errors import ExactAlgebraError, FieldTooLargeError, InstanceParseError
-from sympnf.fields import PrimeField, QQ, make_field
+from sympnf.fields import ExtensionField, PrimeField, QQ, make_field
 from sympnf.linalg import Mat
 from sympnf.normalform import companion_matrix, random_self_adjoint, symplectic_normal_form
 from sympnf.poly import Poly
@@ -74,6 +75,16 @@ class TestSerialization:
     def test_field_descriptor_roundtrip(self):
         for f in (QQ, F5, F9):
             assert field_from_json(field_to_json(f)) == f
+
+    def test_a_tower_has_no_file_format(self):
+        # F_9[x]/(x^2 + x + g): certified by the library, refused by the serializer
+        f81 = ExtensionField(F9, [F9.gen, F9.one, F9.one])
+        sp = SymplecticSpace(f81, 1)
+        cert = symplectic_normal_form(sp, random_self_adjoint(sp, random.Random(3), [("jordan", f81.gen, (1,))]))
+        assert cert.checks and all(cert.checks.values())
+        for encode in (lambda: field_to_json(f81), lambda: certificate_to_json(cert)):
+            with pytest.raises(InstanceParseError, match="only extensions of a prime field"):
+                encode()
 
     def test_instance_roundtrip(self):
         rng = random.Random(11)
@@ -425,6 +436,19 @@ class TestCliPipeline:
 
     def test_spec_dimension_flag_mismatch(self, tmp_path):
         assert main(["random", "--field", "prime:5", "--spec", "1:[2]", "--n", "3"]) == EXIT_PARSE
+
+    def test_random_refuses_a_spec_above_the_size_limit(self, tmp_path, capsys):
+        out = str(tmp_path / "limit.json")
+        assert main(["random", "--field", "prime:5", "--spec", f"0:[{RANDOM_MAX_N}]", "-o", out]) == EXIT_OK
+        assert main(["random", "--field", "rational", "--spec", f"0:[{RANDOM_MAX_N + 1}]"]) == EXIT_PARSE
+        assert f"n <= {RANDOM_MAX_N}" in capsys.readouterr().err
+        # a block of (t^2 + 1)^33 has dimension 66
+        assert main(["random", "--field", "prime:3", "--spec", "irr(1,0,1):[33]"]) == EXIT_PARSE
+
+    def test_random_refuses_a_large_spec_before_building_it(self):
+        """n = 500 over F_5 runs for minutes once any matrix is built."""
+        done = _run_cli("random", "--field", "prime:5", "--spec", "0:[500]", timeout=10)
+        assert done.returncode == EXIT_PARSE, done.stderr
 
     def test_byte_identical_reruns(self, tmp_path, capsys):
         for name in ("one", "two"):

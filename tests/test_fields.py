@@ -10,6 +10,7 @@ from sympnf.errors import (
     ReducibleModulusError,
 )
 from sympnf.fields import (
+    ExtElement,
     ExtensionField,
     PrimeField,
     QQ,
@@ -196,3 +197,38 @@ def test_tower_extension():
     x = tower.gen
     assert x ** 81 == x  # absolute Frobenius closes
     assert (tower.one / (x + tower.one)) * (x + tower.one) == tower.one
+
+
+def test_elements_of_a_small_extension_compute_without_zech_tables():
+    # F_3[x]/(x^3 + 2x + 2): x^3 + 2x + 2 takes the value 2 at 0, 1 and 2, so it is irreducible
+    field = ExtensionField(F3, [F3.from_int(c) for c in (2, 2, 0, 1)])
+    def ref_mul(x, y):
+        # schoolbook on ints, then x^3 = x + 1
+        prod = [0] * 5
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                prod[i + j] += xi * yj
+        for d in (4, 3):
+            prod[d - 3] += prod[d]
+            prod[d - 2] += prod[d]
+        return tuple(c % 3 for c in prod[:3])
+
+    codes = [(a, b, c) for c in range(3) for b in range(3) for a in range(3)]
+    elems = {t: ExtElement(field, tuple(map(F3.from_int, t))) for t in codes}
+    value = {e: t for t, e in elems.items()}
+    one = (1, 0, 0)
+    for s, x in elems.items():
+        for t, y in elems.items():
+            assert value[x * y] == ref_mul(s, t)
+            if any(t):
+                assert value[(x / y) * y] == s
+        if any(s):
+            inv = next(t for t in codes if ref_mul(s, t) == one)
+            assert value[x ** -1] == inv
+            assert value[x ** -2] == ref_mul(inv, inv)
+            assert field.one / x == x ** -1
+        cube = ref_mul(s, ref_mul(s, s))
+        assert value[frobenius(x)] == cube
+        assert frobenius(x, 3) == x
+        assert value[pth_root(elems[cube])] == s
+    assert field._ops is None

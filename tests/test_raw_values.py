@@ -77,10 +77,6 @@ def elements(field):
     return st.integers(0, field.order - 1).map(lambda c: _element_of_code(field, c))
 
 
-def _reference_mul(field, a, b):
-    return field._schoolbook(a, b) if isinstance(field, ExtensionField) else a * b
-
-
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
@@ -96,11 +92,11 @@ def test_raw_scalars_agree_with_the_elements(field, data):
     def mul(x, y):
         return ops.scale(x, [y])[0]
 
-    assert ops.decode(mul(ra, rb)) == _reference_mul(field, a, b)
+    assert ops.decode(mul(ra, rb)) == a * b
     if isinstance(ops, ZechOps):
         assert ops.mul(ra, rb) == mul(ra, rb)
     if a:
-        assert _reference_mul(field, ops.decode(ops.inv(ra)), a) == field.one
+        assert ops.decode(ops.inv(ra)) * a == field.one
     xs, ys = [ra, rb, ops.zero], [rb, ops.zero, ra]
     for c in (ra, rb, ops.zero):
         assert ops.axpy(c, xs, ys) == [ops.add(mul(c, x), y) for x, y in zip(xs, ys)]
@@ -119,7 +115,8 @@ def test_zech_tables_round_trip(field):
     for d in range(0, m, max(1, m // 200)):
         one_plus = ops.decode(ops.one) + ops.decode(d + 1)
         assert ops.zech[d] == ops.encode(one_plus)
-    assert field._mul(field.gen, field.gen) == field._schoolbook(field.gen, field.gen)
+    g = ops.encode(field.gen)
+    assert ops.decode(ops.mul(g, g)) == field.gen * field.gen
 
 
 def test_equal_extensions_have_equal_raw_values():
@@ -260,7 +257,7 @@ def _ref_mul(field, a, b):
     out = [field.zero] * max(len(a) + len(b) - 1, 0)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
-            out[i + j] = out[i + j] + _reference_mul(field, x, y)
+            out[i + j] = out[i + j] + x * y
     return _trimmed(out)
 
 
@@ -280,7 +277,7 @@ def test_raw_polynomials_agree_with_element_loops(field, data):
     assert (-f).coeffs == _trimmed(-x for x in a)
     assert (f * g).coeffs == _ref_mul(field, a, b)
     c = data.draw(elements(field))
-    assert (f * c).coeffs == _trimmed(_reference_mul(field, x, c) for x in a)
+    assert (f * c).coeffs == _trimmed(x * c for x in a)
     if not g.is_zero():
         q, r = f.divmod(g)
         assert _ref_add(field, _ref_mul(field, q.coeffs, b), r.coeffs) == a
@@ -288,8 +285,8 @@ def test_raw_polynomials_agree_with_element_loops(field, data):
     if not f.is_zero():
         m = f.monic()
         assert m.lc() == field.one
-        assert _trimmed(_reference_mul(field, f.lc(), x) for x in m.coeffs) == a
-    assert f.derivative().coeffs == _trimmed(_reference_mul(field, x, field.from_int(i)) for i, x in enumerate(a))[1:]
+        assert _trimmed(f.lc() * x for x in m.coeffs) == a
+    assert f.derivative().coeffs == _trimmed(x * field.from_int(i) for i, x in enumerate(a))[1:]
     e = data.draw(st.integers(0, 5))
     if g.degree > 0:
         acc = Poly.one(field) % g

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sympnf.symplectic as symplectic
 from sympnf.errors import (
     NotComplementaryError,
     NotInvariantError,
     NotLagrangianError,
+    SingularMatrixError,
 )
 from sympnf.fields import PrimeField, QQ, make_field
 from sympnf.linalg import Mat, Subspace, inverse, kernel
@@ -222,6 +224,34 @@ class TestSymplecticMatrices:
     def test_seed_determinism(self):
         sp = SymplecticSpace(F3, 2)
         assert random_symplectic(sp, random.Random(5)) == random_symplectic(sp, random.Random(5))
+
+    def test_only_a_singular_draw_is_redrawn(self, monkeypatch):
+        # over F_3 with seed 1 the word starts with diag(S, S^-T), and the first S drawn is singular
+        sp = SymplecticSpace(F3, 1)
+        outcomes = []
+
+        def recording(s):
+            try:
+                s_inv = inverse(s)
+            except SingularMatrixError:
+                outcomes.append("singular")
+                raise
+            outcomes.append("inverted")
+            return s_inv
+
+        monkeypatch.setattr(symplectic, "inverse", recording)
+        assert is_symplectic_matrix(sp, random_symplectic(sp, random.Random(1)))
+        assert outcomes == ["singular", "inverted"]
+
+        def failing(s):
+            outcomes.append("failed")
+            raise RuntimeError("not a singular draw")
+
+        outcomes.clear()
+        monkeypatch.setattr(symplectic, "inverse", failing)
+        with pytest.raises(RuntimeError, match="not a singular draw"):
+            random_symplectic(sp, random.Random(1))
+        assert outcomes == ["failed"]
 
 
 class TestDarbouxFromPair:

@@ -4,6 +4,7 @@ the conjugation when it holds.  Every verdict is compared with the verifier
 that inverted C by elimination and always computed both characteristic
 polynomials, kept here as the reference."""
 
+import json
 import random
 from dataclasses import replace
 
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 import sympnf.linalg as linalg
 import sympnf.normalform as nf
 import sympnf.symplectic as symplectic
-from sympnf.errors import InternalDescentFailureError
-from sympnf.fields import PrimeField, QQ
+from sympnf.errors import InstanceParseError, InternalDescentFailureError
+from sympnf.fields import ExtensionField, PrimeField, QQ
 from sympnf.linalg import Mat, Subspace, charpoly, inverse
 from sympnf.normalform import (
     NormalFormCertificate,
@@ -24,16 +25,17 @@ from sympnf.normalform import (
     _spec_orderly,
     descent_normal_form,
     jordan_block,
+    normalize_block_spec,
     random_self_adjoint,
     symplectic_normal_form,
     verify_certificate,
 )
 from sympnf.poly import Poly
-from sympnf.serialize import certificate_to_json, dumps_canonical
+from sympnf.serialize import certificate_from_json, certificate_to_json, dumps_canonical
 from sympnf.symplectic import SymplecticSpace, is_symplectic_matrix
 
 from independent_checker import certificate_holds
-from test_raw_values import F9, _first_irreducible
+from test_raw_values import F9, _first_irreducible, elements
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -278,3 +280,52 @@ def test_a_wrong_descent_block_is_refused(monkeypatch):
         descent_normal_form(space, a)
     with pytest.raises(InternalDescentFailureError):
         symplectic_normal_form(space, a)
+
+
+F3, F101 = PrimeField(3), PrimeField(101)
+F81 = ExtensionField(F9, _first_irreducible(F9, 2))  # a tower: F_9[x]/(q)
+WIDE_FIELDS = [QQ, F3, F5, F101, F9, F81]
+
+
+@st.composite
+def wide_pipeline_instances(draw):
+    """(space, A, normalized spec) over QQ, F_3, F_5, F_101, F_9 or the tower
+    F_81, n from 1 to 6: one to three distinct eigenvalues, and over finite
+    fields optionally the companion block of an irreducible quadratic."""
+    field = draw(st.sampled_from(WIDE_FIELDS))
+    n = draw(st.integers(1, 6))
+    spec = []
+    rest = n
+    if field is not QQ and n >= 2 and draw(st.booleans()):
+        spec.append(("companion", Poly(field, _first_irreducible(field, 2)), (1,)))
+        rest -= 2
+    if rest:
+        k = draw(st.integers(1, min(3, rest)))
+        lams = draw(st.lists(elements(field), min_size=k, max_size=k, unique=True))
+        cuts = sorted(draw(st.sets(st.integers(1, rest - 1), min_size=k - 1, max_size=k - 1))) if k > 1 else []
+        for lam, lo, hi in zip(lams, [0] + cuts, cuts + [rest]):
+            spec.append(("jordan", lam, _partition(draw, hi - lo)))
+    space = SymplecticSpace(field, n)
+    a = random_self_adjoint(space, random.Random(draw(st.integers(0, 10**6))), spec)
+    return space, a, normalize_block_spec(field, spec)
+
+
+@settings(max_examples=100, deadline=None)
+@given(instance=wide_pipeline_instances())
+def test_pipeline_certificates_over_wider_fields(instance):
+    space, a, spec = instance
+    field = space.field
+    cert = symplectic_normal_form(space, a)
+    assert verify_certificate(cert).ok
+    if spec[-1][0] == "companion":
+        assert cert.case == "descent" and cert.jordan_spec is None
+    else:
+        assert cert.case == "jordan"
+        assert cert.jordan_spec == tuple((lam, sizes) for _, lam, sizes in spec)
+    if isinstance(field, ExtensionField) and isinstance(field.base, ExtensionField):
+        with pytest.raises(InstanceParseError, match="only extensions of a prime field"):
+            certificate_to_json(cert)
+        return
+    text = _text(cert)
+    assert certificate_holds(text)
+    assert _text(certificate_from_json(json.loads(text))) == text
