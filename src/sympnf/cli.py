@@ -13,20 +13,26 @@ import random
 import sys
 
 from .errors import (
-    BadSpecError,
     ExactAlgebraError,
     InstanceParseError,
     UnsupportedFieldPathError,
 )
-from .fields import make_field
-from .normalform import random_self_adjoint, symplectic_normal_form, verify_certificate
+from .normalform import (
+    block_spec_dimension,
+    normalize_block_spec,
+    random_self_adjoint,
+    symplectic_normal_form,
+    verify_certificate,
+)
 from .poly import Poly
 from .serialize import (
+    _decode_int,
     certificate_from_json,
     certificate_to_json,
     decode_scalar,
     dumps_canonical,
     encode_scalar,
+    field_from_json,
     instance_from_json,
     instance_to_json,
 )
@@ -58,30 +64,28 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _items(text: str, sep: str) -> list[str]:
+    return [item.strip() for item in text.split(sep)]
+
+
 def parse_field_flag(flag: str):
-    """rational | prime:p | ext:p:c0,c1,...,1 (modulus low-to-high)."""
-    parts = flag.split(":")
-    try:
-        if parts == ["rational"]:
-            return make_field("rational")
-        if parts[0] == "prime" and len(parts) == 2:
-            return make_field("prime", p=int(parts[1]))
-        if parts[0] == "ext" and len(parts) == 3:
-            modulus = [int(c) for c in parts[2].split(",")]
-            return make_field("extension", p=int(parts[1]), modulus=modulus)
-    except (ValueError, ExactAlgebraError) as exc:
-        raise InstanceParseError(f"bad --field value {flag!r}: {exc}") from exc
+    """rational | prime:p | ext:p:c0,c1,...,1 (modulus low-to-high), read as
+    the field descriptor of an instance file."""
+    parts = _items(flag, ":")
+    if parts == ["rational"]:
+        return field_from_json({"kind": "rational"})
+    if parts[0] == "prime" and len(parts) == 2:
+        return field_from_json({"kind": "prime", "p": parts[1]})
+    if parts[0] == "ext" and len(parts) == 3:
+        return field_from_json({"kind": "extension", "p": parts[1], "modulus": _items(parts[2], ",")})
     raise InstanceParseError(f"bad --field value {flag!r}")
 
 
 def _parse_spec_scalar(field, text: str):
     """An eigenvalue in the scalar encoding of instance files; a coefficient
     vector is written '(c0,c1,...)'."""
-    text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        if field.kind != "extension":
-            raise InstanceParseError("coefficient-vector eigenvalues need an extension field")
-        return decode_scalar(field, text[1:-1].split(","))
+        return decode_scalar(field, _items(text[1:-1], ","))
     if field.kind == "extension":
         return field.embed(decode_scalar(field.base, text))
     return decode_scalar(field, text)
@@ -89,36 +93,23 @@ def _parse_spec_scalar(field, text: str):
 
 def parse_block_spec(field, text: str):
     """Entries separated by ';'.  Jordan blocks: '<eigenvalue>:[s1,s2]';
-    companion blocks of P^m for a monic P of degree >= 1:
-    'irr(c0,...,1):[m1,m2]'."""
+    companion blocks of P^m: 'irr(c0,...,1):[m1,m2]'.  Each item is read as
+    instance files read it, and the spec is checked and ordered by
+    normalize_block_spec."""
     entries = []
-    for raw in text.split(";"):
-        raw = raw.strip()
+    for raw in _items(text, ";"):
         if not raw:
             continue
-        head, _, tail = raw.rpartition(":")
+        head, _, tail = (part.strip() for part in raw.rpartition(":"))
         if not head or not (tail.startswith("[") and tail.endswith("]")):
             raise InstanceParseError(f"bad spec entry {raw!r}")
-        try:
-            sizes = tuple(int(s) for s in tail[1:-1].split(","))
-        except ValueError as exc:
-            raise InstanceParseError(f"bad sizes in spec entry {raw!r}") from exc
-        if any(s < 1 for s in sizes):
-            raise InstanceParseError(f"sizes must be positive in {raw!r}")
+        sizes = tuple(_decode_int(s) for s in _items(tail[1:-1], ","))
         if head.startswith("irr(") and head.endswith(")"):
-            try:
-                coeffs = [field.from_int(int(c)) for c in head[4:-1].split(",")]
-            except ValueError as exc:
-                raise InstanceParseError(f"bad polynomial in {raw!r}") from exc
-            p = Poly(field, coeffs)
-            if p.degree < 1 or p.lc() != field.one:
-                raise InstanceParseError(f"companion polynomial must be monic of degree >= 1 in {raw!r}")
-            entries.append(("companion", p, sizes))
+            coeffs = [field.from_int(_decode_int(c)) for c in _items(head[4:-1], ",")]
+            entries.append(("companion", Poly(field, coeffs), sizes))
         else:
             entries.append(("jordan", _parse_spec_scalar(field, head), sizes))
-    if not entries:
-        raise InstanceParseError("empty --spec")
-    return entries
+    return normalize_block_spec(field, entries)
 
 
 # --- subcommands ------------------------------------------------------------
@@ -158,22 +149,11 @@ def cmd_verify(args) -> int:
 def cmd_random(args) -> int:
     field = parse_field_flag(args.field)
     spec = parse_block_spec(field, args.spec)
-    total = 0
-    for entry in spec:
-        if entry[0] == "jordan":
-            total += sum(entry[2])
-        else:
-            total += entry[1].degree * sum(entry[2])
-    if args.n is not None and args.n != total:
-        raise InstanceParseError(f"--spec dimensions sum to {total}, but --n is {args.n}")
-    if total > RANDOM_MAX_N:
-        raise InstanceParseError(f"--spec dimensions sum to {total}; random builds n <= {RANDOM_MAX_N}")
-    space = SymplecticSpace(field, total)
-    rng = random.Random(args.seed)
-    try:
-        a = random_self_adjoint(space, rng, spec)
-    except BadSpecError as exc:
-        raise InstanceParseError(str(exc)) from exc
+    n = block_spec_dimension(spec)
+    if n > RANDOM_MAX_N:
+        raise InstanceParseError(f"--spec dimensions sum to {n}; random builds n <= {RANDOM_MAX_N}")
+    space = SymplecticSpace(field, n)
+    a = random_self_adjoint(space, random.Random(args.seed), spec)
     _emit(dumps_canonical(instance_to_json(space, a)), args.out)
     return EXIT_OK
 
@@ -203,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("-o", "--out", default=None)
     p.set_defaults(func=cmd_random)
     return parser

@@ -99,9 +99,9 @@ class InvalidCertificateError(ExactAlgebraError, ValueError):
     """Certificate fails verification."""
 
 
-class BadSpecError(ExactAlgebraError, ValueError):
-    """Malformed block specification for instance generation."""
-
-
 class InstanceParseError(ExactAlgebraError, ValueError):
     """Instance or certificate file cannot be parsed."""
+
+
+class BadSpecError(InstanceParseError):
+    """Malformed block specification for instance generation."""

@@ -112,9 +112,6 @@ class Mat:
     def nrows(self):
         return len(self.raw)
 
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def transpose(self):
         cols = tuple(zip(*self.raw)) if self.raw else ((),) * self.ncols
         return Mat.from_raw(self.field, cols, self.nrows)

@@ -30,6 +30,7 @@ from .errors import (
     EigenvaluesNotInFieldError,
     InternalDescentFailureError,
     InvalidCertificateError,
+    MixedFieldsError,
     NotFiniteFieldError,
     NotNilpotentError,
     NotSelfAdjointError,
@@ -78,6 +79,7 @@ __all__ = [
     "companion_matrix",
     "build_block_matrix",
     "normalize_block_spec",
+    "block_spec_dimension",
 ]
 
 
@@ -490,18 +492,28 @@ def polarize(cert: NormalFormCertificate):
 
 
 def normalize_block_spec(field, spec) -> list:
-    """Canonical order: entries sorted by kind key, sizes weakly decreasing."""
+    """The one check of a block spec, and its canonical order: entries sorted
+    by kind key, sizes weakly decreasing.  An entry is ("jordan", lam, sizes)
+    with lam in field (an int is lifted into it), or ("companion", P, sizes)
+    with P monic of degree >= 1 over field; sizes are positive ints, and the
+    spec holds at least one block.  Else BadSpecError."""
     out = []
-    for entry in spec:
-        kind = entry[0]
+    for kind, head, sizes in spec:
         if kind == "jordan":
-            _, lam, sizes = entry
-            out.append(("jordan", lam, tuple(sorted(sizes, reverse=True))))
-        elif kind == "companion":
-            _, p, sizes = entry
-            out.append(("companion", p, tuple(sorted(sizes, reverse=True))))
-        else:
+            try:
+                head = field.ops.decode(field.ops.encode(head))
+            except MixedFieldsError as exc:
+                raise BadSpecError(f"eigenvalue {head!r} is not an element of {field!r}") from exc
+        elif kind != "companion":
             raise BadSpecError(f"unknown block kind {kind!r}")
+        elif not (isinstance(head, Poly) and head.field == field and head.degree >= 1 and head.lc() == field.one):
+            raise BadSpecError(f"companion polynomial must be monic of degree >= 1 over {field!r}, got {head!r}")
+        if not sizes or any(type(s) is not int or s < 1 for s in sizes):
+            raise BadSpecError(f"sizes must be positive integers, got {sizes!r}")
+        out.append((kind, head, tuple(sorted(sizes, reverse=True))))
+    if not out:
+        raise BadSpecError("empty block specification")
+
     def key(e):
         if e[0] == "jordan":
             return (0, (1,), field.sort_key(e[1]))
@@ -510,29 +522,32 @@ def normalize_block_spec(field, spec) -> list:
     return out
 
 
+def block_spec_dimension(spec) -> int:
+    """The size of B built from a normalized spec."""
+    return sum((1 if kind == "jordan" else head.degree) * sum(sizes) for kind, head, sizes in spec)
+
+
 def build_block_matrix(field, spec) -> Mat:
     """B from a normalized spec: Jordan blocks and companion(P^s) blocks."""
     blocks = []
-    for entry in spec:
-        if entry[0] == "jordan":
-            _, lam, sizes = entry
-            blocks.extend(jordan_block(field, lam, s) for s in sizes)
+    for kind, head, sizes in spec:
+        if kind == "jordan":
+            blocks.extend(jordan_block(field, head, s) for s in sizes)
         else:
-            _, p, sizes = entry
-            blocks.extend(companion_matrix(p ** s) for s in sizes)
-    if not blocks:
-        raise BadSpecError("empty block specification")
+            blocks.extend(companion_matrix(head ** s) for s in sizes)
     return Mat.block_diag(field, blocks)
 
 
 def random_self_adjoint(space: SymplecticSpace, rng: random.Random, spec) -> Mat:
     """Seeded self-adjoint instance: diag(B, B^T) scrambled by a random
-    symplectic conjugation; the spec dimensions must sum to n."""
+    symplectic conjugation.  The spec passes normalize_block_spec, and its
+    dimension must be n before B is built; else BadSpecError."""
     field = space.field
     spec = normalize_block_spec(field, spec)
+    dim = block_spec_dimension(spec)
+    if dim != space.n:
+        raise BadSpecError(f"block spec has total dimension {dim}, expected n={space.n}")
     b = build_block_matrix(field, spec)
-    if b.nrows != space.n:
-        raise BadSpecError(f"block spec has total dimension {b.nrows}, expected n={space.n}")
     a0 = Mat.block_diag(field, [b, b.transpose()])
     c = random_symplectic(space, rng)
     return c * a0 * adjoint(space, c)

@@ -56,7 +56,10 @@ def _decode_int(s) -> int:
     integer.  int() would also truncate floats, read booleans as 0 and 1, and
     take spaces, '+', '_' and non-ASCII digits."""
     if type(s) is str and s.isascii() and (s.isdigit() or s[:1] == "-" and s[1:].isdigit()):
-        return int(s)
+        try:
+            return int(s)
+        except ValueError as exc:  # past Python's digit limit
+            raise InstanceParseError(f"bad integer: {exc}") from exc
     if type(s) is int:  # not a bool
         return s
     raise InstanceParseError(f"bad integer {s!r}")

@@ -204,6 +204,32 @@ class TestFlagParsing:
         assert main(["random", "--field", "prime:5", "--spec", spec]) == EXIT_PARSE
         assert "monic of degree >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field_flag,spec",
+        [
+            ("prime:1_01", "1:[1]"),
+            ("prime:5", "1:[+1]"),
+            ("prime:5", "1:[1_0]"),
+            ("ext:3:1,0,1", "irr(\u0661,0,1):[\u0661]"),
+            ("ext:3:1,0,+1", "(0,1):[1]"),
+            ("prime:5", "irr(+1,1):[1]"),
+        ],
+    )
+    def test_flag_integers_take_only_the_file_grammar(self, field_flag, spec, capsys):
+        assert main(["random", "--field", field_flag, "--spec", spec]) == EXIT_PARSE
+        assert "bad integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "spaced,plain",
+        [("(0, 1):[1]", "(0,1):[1]"), ("irr( 2, 0, 1):[1]", "irr(2,0,1):[1]"), (" (1 ,0) : [ 2 , 1 ] ", "(1,0):[2,1]")],
+    )
+    def test_spaces_around_items_are_stripped_alike(self, spaced, plain, tmp_path):
+        assert parse_block_spec(F9, spaced) == parse_block_spec(F9, plain)
+        for name, spec in (("spaced", spaced), ("plain", plain)):
+            out = str(tmp_path / name)
+            assert main(["random", "--field", " ext : 3 : 1, 0, 1 ", "--spec", spec, "-o", out]) == EXIT_OK
+        assert (tmp_path / "spaced").read_bytes() == (tmp_path / "plain").read_bytes()
+
     def test_rationals_take_only_the_encoded_forms(self):
         assert decode_scalar(QQ, "-12/8") == Fraction(-3, 2)
         assert decode_scalar(QQ, "7") == Fraction(7)
@@ -434,8 +460,22 @@ class TestCliPipeline:
         bad = _write(tmp_path, "bad.json", dumps_canonical(data))
         assert main(["verify", bad]) == EXIT_PARSE
 
-    def test_spec_dimension_flag_mismatch(self, tmp_path):
-        assert main(["random", "--field", "prime:5", "--spec", "1:[2]", "--n", "3"]) == EXIT_PARSE
+    def test_the_n_flag_is_refused(self, capsys):
+        """n is read off the spec alone: there is no --n to disagree with it."""
+        assert main(["random", "--field", "prime:5", "--spec", "1:[2]", "--n", "2"]) == EXIT_PARSE
+        assert "--n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field_flag,spec",
+        [("prime:5", "1:[2,1];2:[1]"), ("rational", "1/2:[2,1];-3:[1]"), ("ext:3:1,0,1", "(0,1):[1];(1,0):[2]")],
+    )
+    def test_the_printed_jordan_spec_is_accepted_by_spec(self, tmp_path, capsys, field_flag, spec):
+        inst, _, out = self._roundtrip(tmp_path, capsys, field_flag, spec)
+        printed = next(line for line in out.splitlines() if line.startswith("jordan_spec: "))
+        again = str(tmp_path / "again.json")
+        args = ["random", "--field", field_flag, "--spec", printed[len("jordan_spec: "):], "--seed", "1", "-o", again]
+        assert main(args) == EXIT_OK
+        assert open(again, "rb").read() == open(inst, "rb").read()
 
     def test_random_refuses_a_spec_above_the_size_limit(self, tmp_path, capsys):
         out = str(tmp_path / "limit.json")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import sympnf.linalg as linalg
 import sympnf.normalform as nf
 from sympnf.errors import (
+    BadSpecError,
     DimensionMismatchError,
     EigenvaluesNotInFieldError,
     InvalidCertificateError,
@@ -20,6 +21,7 @@ from sympnf.fields import PrimeField, QQ, ZechOps, make_field
 from sympnf.linalg import Mat, Subspace, charpoly, inverse, kernel, mat_poly_eval, rank, restrict_operator, solve
 from sympnf.normalform import (
     NormalFormCertificate,
+    block_spec_dimension,
     build_block_matrix,
     companion_matrix,
     cyclic_pair,
@@ -629,11 +631,51 @@ class TestInstanceGeneration:
             assert charpoly(a) == (Poly.x(F3) - Poly.one(F3)) ** 4 * Poly.x(F3) ** 2
 
     def test_spec_dimension_mismatch(self):
-        from sympnf.errors import BadSpecError
-
         sp = SymplecticSpace(F3, 2)
         with pytest.raises(BadSpecError):
             random_self_adjoint(sp, random.Random(0), [("jordan", F3.one, (1,))])
+
+    def test_a_companion_must_be_monic_of_positive_degree_over_the_field(self):
+        sp = SymplecticSpace(F5, 1)
+        # 2t + 1 is not monic: its companion block would have charpoly (t + 1)^2, not (t - 2)^2
+        for p in (Poly.from_ints(F5, [1, 2]), Poly.from_ints(F5, [3]), Poly.from_ints(F3, [1, 1])):
+            with pytest.raises(BadSpecError, match="monic of degree >= 1"):
+                random_self_adjoint(sp, random.Random(0), [("companion", p, (1,))])
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [],
+            [("jordan", F5.one, ())],
+            [("jordan", F5.one, (1, 0))],
+            [("jordan", F5.one, (1.0,))],
+            [("scalar", F5.one, (1,))],
+            [("jordan", Fraction(1, 2), (1,))],
+            [("jordan", F3.one, (1,))],
+        ],
+        ids=["empty", "no-sizes", "zero-size", "float-size", "unknown-kind", "rational-eigenvalue", "F3-eigenvalue"],
+    )
+    def test_normalize_refuses_a_malformed_spec(self, spec):
+        with pytest.raises(BadSpecError):
+            normalize_block_spec(F5, spec)
+
+    def test_an_int_eigenvalue_is_lifted_into_the_field(self):
+        assert normalize_block_spec(F5, [("jordan", 8, (1,)), ("jordan", 1, (1,))]) == [
+            ("jordan", F5.one, (1,)),
+            ("jordan", F5.from_int(3), (1,)),
+        ]
+
+    def test_the_dimension_is_checked_before_b_is_built(self, monkeypatch):
+        def unreachable(field, spec):
+            raise AssertionError("build_block_matrix ran on a spec of the wrong dimension")
+
+        monkeypatch.setattr(nf, "build_block_matrix", unreachable)
+        sp = SymplecticSpace(F5, 2)
+        quadratic = Poly.from_ints(F5, [2, 0, 1])
+        for spec in ([("jordan", F5.one, (1,))], [("jordan", F5.one, (10**8,))], [("companion", quadratic, (2,))]):
+            with pytest.raises(BadSpecError, match="total dimension"):
+                random_self_adjoint(sp, random.Random(0), spec)
+        assert block_spec_dimension(normalize_block_spec(F5, [("companion", quadratic, (2, 1))])) == 6
 
     def test_kernel_dimension_sanity(self):
         # the generated operator has the prescribed eigenspace dimensions

@@ -278,8 +278,9 @@ class TestDarbouxFromPair:
         a0 = Mat.block_diag(F5, [b, b.transpose()])
         g = random_symplectic(sp, rng)
         a = g * a0 * inverse(g)
-        u = Subspace.from_vectors(F5, 4, [g.col(0), g.col(1)])
-        w = Subspace.from_vectors(F5, 4, [g.col(2), g.col(3)])
+        cols = g.transpose().rows
+        u = Subspace.from_vectors(F5, 4, cols[:2])
+        w = Subspace.from_vectors(F5, 4, cols[2:])
         c = darboux_from_lagrangian_pair(sp, a, u, w)
         assert is_symplectic_matrix(sp, c)
         m = inverse(c) * a * c
@@ -360,7 +361,8 @@ def test_the_form_as_a_swap_agrees_with_dense_products(field, n, seed):
     picks = [[j for j in range(dim) if rng.random() < 0.5], range(n), range(n - 1), (0, n)]
     if n > 1:
         picks.append((0, 1, n))
-    spans = [(Subspace.from_vectors(field, dim, [c.col(j) for j in p]), _expected_class(p, n)) for p in picks]
+    cols = c.transpose().rows
+    spans = [(Subspace.from_vectors(field, dim, [cols[j] for j in p]), _expected_class(p, n)) for p in picks]
     spans.append((Subspace.from_vectors(field, dim, [_random_vec(sp, rng) for _ in range(rng.randint(0, dim))]), None))
     for s, expected in spans:
         comp = kernel(s.basis_matrix() * o.transpose())

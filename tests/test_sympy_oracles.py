@@ -1,22 +1,32 @@
-"""SymPy as a differential oracle over the acceptance corpus: characteristic
+"""Differential oracles over the acceptance corpus: characteristic
 polynomials, and the Jordan block sizes of each certificate read off the
-ranks of (A - lambda)^k.  SymPy is a test-only dependency; without it these
-tests are skipped."""
+ranks of (A - lambda)^k.  Over QQ and the prime fields the oracle is SymPy, a
+test-only dependency whose tests are skipped without it.  SymPy's GF(9) is
+Z/9, so over F_9 the ranks are taken on the arithmetic of the independent
+checker, which shares no code with sympnf."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 from sympnf.fields import QQ
 from sympnf.linalg import charpoly
+from sympnf.serialize import certificate_to_json, dumps_canonical
 
+from independent_checker import _arithmetic, matrix_product
 from test_acceptance import CORPUS, _cert
 
-sympy = pytest.importorskip("sympy")
-from sympy.polys.matrices import DomainMatrix  # noqa: E402
+try:
+    import sympy
+    from sympy.polys.matrices import DomainMatrix
+except ImportError:
+    sympy = None
+needs_sympy = pytest.mark.skipif(sympy is None, reason="SymPy is not installed")
 
 # the instances over QQ and the prime fields, whose entries SymPy reads directly
 INDICES = [i for i, inst in enumerate(CORPUS) if inst.space.field is QQ or inst.space.field.kind == "prime"]
+F9_INDICES = [i for i, inst in enumerate(CORPUS) if inst.space.field.kind == "extension"]
 
 
 def _domain(field):
@@ -46,6 +56,7 @@ def _domain_matrix(m, shift=None):
     return DomainMatrix(rows, (m.nrows, m.ncols), dom)
 
 
+@needs_sympy
 def test_charpoly_matches_sympy():
     assert len(INDICES) == 400
     for idx in INDICES:
@@ -56,17 +67,21 @@ def test_charpoly_matches_sympy():
         assert [_from_sympnf(field, c) for c in charpoly(a).coeffs] == expected, CORPUS[idx].label
 
 
-def _block_sizes_from_ranks(a, lam):
-    """Sizes of the Jordan blocks of a at lam, largest first: the blocks of
-    size >= k number rank (a - lam)^(k-1) - rank (a - lam)^k."""
-    g = _domain_matrix(a, lam)
-    ranks = [a.nrows]
+def _rank_sequence(dim, rank, g, product):
+    """rank g^k for k = 0, 1, ... up to the first repeat, after which it is constant."""
+    ranks = [dim]
     power = g
     while True:
-        ranks.append(power.rank())
+        ranks.append(rank(power))
         if ranks[-1] == ranks[-2]:
-            break
-        power = power * g
+            return ranks
+        power = product(power, g)
+
+
+def _sizes_from_ranks(ranks):
+    """Sizes of the Jordan blocks of a at lam, largest first, from the ranks
+    of (a - lam)^k: the blocks of size >= k number rank (a - lam)^(k-1) -
+    rank (a - lam)^k."""
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))] + [0]
     sizes = []
     for k in range(len(at_least) - 1, 0, -1):
@@ -74,6 +89,7 @@ def _block_sizes_from_ranks(a, lam):
     return sizes
 
 
+@needs_sympy
 def test_jordan_blocks_match_sympy_ranks():
     checked = 0
     for idx in INDICES:
@@ -81,8 +97,65 @@ def test_jordan_blocks_match_sympy_ranks():
         if cert.case != "jordan":
             continue
         checked += 1
+        a = cert.matrix
         for lam, sizes in cert.jordan_spec:
             # A is similar to diag(B, B^T), and B^T has the Jordan blocks of B
             twice = sorted(sizes + sizes, reverse=True)
-            assert _block_sizes_from_ranks(cert.matrix, lam) == twice, CORPUS[idx].label
+            ranks = _rank_sequence(a.nrows, lambda m: m.rank(), _domain_matrix(a, lam), lambda x, y: x * y)
+            assert _sizes_from_ranks(ranks) == twice, CORPUS[idx].label
     assert checked >= 300
+
+
+def _checker_rank(rows, arithmetic, q):
+    """Rank by elimination on the checker's arithmetic over F_q, each pivot
+    inverted as x^(q-2)."""
+    _, add, mul, embed = arithmetic
+    zero, minus_one = embed(0), embed(-1)
+    rows = [list(r) for r in rows]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != zero), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        neg_inv = minus_one
+        for _ in range(q - 2):
+            neg_inv = mul(neg_inv, rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            if rows[i][col] != zero:
+                factor = mul(rows[i][col], neg_inv)
+                rows[i] = [add(x, mul(factor, y)) for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_f9_jordan_blocks_match_ranks_on_the_checker_arithmetic():
+    checked = 0
+    for idx in F9_INDICES:
+        cert = _cert(idx)
+        if cert.case != "jordan":
+            continue
+        checked += 1
+        data = json.loads(dumps_canonical(certificate_to_json(cert)))
+        arithmetic = parse, add, mul, embed = _arithmetic(data["field"])
+        q = int(data["field"]["p"]) ** (len(data["field"]["modulus"]) - 1)
+        assert q == 9
+        zero, minus_one = embed(0), embed(-1)
+        a = [[parse(x) for x in row] for row in data["A"]]
+        dim = len(a)
+        multiplicities = 0
+        for entry in data["jordan_spec"]:
+            minus_lam = mul(minus_one, parse(entry["eigenvalue"]))
+            g = [[add(x, minus_lam) if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+            ranks = _rank_sequence(
+                dim,
+                lambda m: _checker_rank(m, arithmetic, q),
+                g,
+                lambda x, y: matrix_product(x, y, add, mul, zero),
+            )
+            twice = sorted(entry["sizes"] * 2, reverse=True)
+            assert _sizes_from_ranks(ranks) == twice, CORPUS[idx].label
+            # the ranks are constant from the first repeat, so this is 2n - rank (A - lam)^(2n)
+            multiplicities += dim - ranks[-1]
+        assert multiplicities == dim, CORPUS[idx].label
+    assert checked == 67

@@ -31,7 +31,14 @@ from sympnf.normalform import (
     verify_certificate,
 )
 from sympnf.poly import Poly
-from sympnf.serialize import certificate_from_json, certificate_to_json, dumps_canonical
+from sympnf.serialize import (
+    certificate_from_json,
+    certificate_to_json,
+    dumps_canonical,
+    encode_matrix,
+    encode_scalar,
+    field_to_json,
+)
 from sympnf.symplectic import SymplecticSpace, is_symplectic_matrix
 
 from independent_checker import certificate_holds
@@ -310,6 +317,19 @@ def wide_pipeline_instances(draw):
     return space, a, normalize_block_spec(field, spec)
 
 
+def _tower_text(cert):
+    """Canonical JSON of a certificate over a tower, its field written as a
+    nested descriptor that only the independent checker reads."""
+    field = cert.space.field
+    desc = {
+        "kind": "extension",
+        "base": field_to_json(field.base),
+        "modulus": [encode_scalar(field.base, c) for c in field.modulus],
+    }
+    mats = {"A": cert.matrix, "B": cert.block, "C": cert.basis}
+    return dumps_canonical({"field": desc, "n": cert.space.n, **{k: encode_matrix(m) for k, m in mats.items()}})
+
+
 @settings(max_examples=100, deadline=None)
 @given(instance=wide_pipeline_instances())
 def test_pipeline_certificates_over_wider_fields(instance):
@@ -325,7 +345,17 @@ def test_pipeline_certificates_over_wider_fields(instance):
     if isinstance(field, ExtensionField) and isinstance(field.base, ExtensionField):
         with pytest.raises(InstanceParseError, match="only extensions of a prime field"):
             certificate_to_json(cert)
+        assert certificate_holds(_tower_text(cert))
         return
     text = _text(cert)
     assert certificate_holds(text)
     assert _text(certificate_from_json(json.loads(text))) == text
+
+
+def test_the_checker_refuses_a_tower_certificate_with_a_changed_block():
+    space = SymplecticSpace(F81, 2)
+    a = random_self_adjoint(space, random.Random(5), [("jordan", F81.gen, (2,))])
+    cert = symplectic_normal_form(space, a)
+    assert certificate_holds(_tower_text(cert))
+    for i, j in ((0, 0), (0, 1), (1, 0)):
+        assert not certificate_holds(_tower_text(replace(cert, block=_changed_entry(cert.block, i, j, F81.one))))
