@@ -12,8 +12,10 @@ compute on, the codec between them and the elements, and the few scalar and
 row primitives both are written in.  F_p values are residues in [0, p);
 extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
 tables are built with polynomial products modulo the modulus on the first use
-of the field's ``ops``; the rationals and larger extensions use the elements
-themselves.  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
+of the field's ``ops``; larger extensions use the elements themselves.  The
+rationals use their ``Fraction`` elements too, but their kernels compute on
+integer numerators over a common denominator and build one ``Fraction`` per
+result (``RationalOps``).  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
 Extension-field elements never touch their field's ``ops``: at every order a product is a
 polynomial product reduced modulo the modulus and an inverse an extended gcd
@@ -25,6 +27,7 @@ from __future__ import annotations
 import functools
 from array import array
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -95,7 +98,9 @@ def is_prime(n: int) -> bool:
 # on anything else; the raw zero is the only falsy raw value, so ``not v`` is
 # the zero test; two raw values are equal exactly when their elements are;
 # ``scale(c, xs)`` is c*xs, ``axpy(c, xs, ys)`` is c*xs + ys and ``dot(xs, ys)``
-# the inner product, on equal-length sequences.
+# the inner product, on equal-length sequences; ``matmul(rows, cols)`` is the
+# tuple of row tuples of the dots of each row with each column, the one
+# kernel of a matrix product.
 
 ZECH_MAX_ORDER = 1 << 16
 
@@ -116,10 +121,15 @@ class _Ops:
         dec = self.decode
         return tuple(tuple(map(dec, r)) for r in raw)
 
+    def matmul(self, rows, cols):
+        dot = self.dot
+        return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
-class ObjectOps(_Ops):
-    """Raw values are the elements themselves: the rationals, and extension
-    fields above ZECH_MAX_ORDER."""
+
+class RationalOps(_Ops):
+    """QQ: raw values are the canonical ``Fraction`` elements themselves,
+    never bare ints.  The kernels compute on their integer numerators and
+    denominators and build one ``Fraction`` per result."""
 
     def __init__(self, field):
         self.field = field
@@ -147,6 +157,109 @@ class ObjectOps(_Ops):
     def inv(self, a):
         return self.one / a
 
+    @staticmethod
+    def clear(xs):
+        """(ints, den) with xs = ints / den and den the lcm of the
+        denominators of xs."""
+        den = lcm(*[x.denominator for x in xs])
+        return [x.numerator * (den // x.denominator) for x in xs], den
+
+    def scale(self, c, xs):
+        n, d = c.numerator, c.denominator
+        if d == 1 and n in (1, -1):  # a unit: no gcd at all
+            return list(xs) if n == 1 else [-x for x in xs]
+        return [Fraction(x.numerator * n, x.denominator * d) for x in xs]
+
+    def axpy(self, c, xs, ys):
+        cn, cd = c.numerator, c.denominator
+        out = []
+        for x, y in zip(xs, ys):
+            n = x.numerator
+            if n:
+                n *= cn
+                d = x.denominator * cd
+                yn = y.numerator
+                if yn:
+                    yd = y.denominator
+                    if yd == d:
+                        n += yn
+                    else:
+                        g = gcd(d, yd)
+                        n = n * (yd // g) + yn * (d // g)
+                        d = d // g * yd
+                y = Fraction(n, d)
+            out.append(y)
+        return out
+
+    def dot(self, xs, ys):
+        # one numerator over the running lcm of the denominators: products
+        # of denominators (n d' + n' d over d d') grow much faster
+        num, den = 0, 1
+        for x, y in zip(xs, ys):
+            n = x.numerator * y.numerator
+            if n:
+                d = x.denominator * y.denominator
+                if d == den:
+                    num += n
+                else:
+                    g = gcd(den, d)
+                    if g == d:
+                        num += n * (den // d)
+                    else:
+                        num = num * (d // g) + n * (den // g)
+                        den = den // g * d
+        return Fraction(num, den)
+
+    def matmul(self, rows, cols):
+        clear = self.clear
+        cols = [clear(c) for c in cols]
+        out = []
+        for r in rows:
+            r, dr = clear(r)
+            out.append(tuple([Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols]))
+        return tuple(out)
+
+
+class ObjectOps(_Ops):
+    """Extension fields above ZECH_MAX_ORDER: raw values are the elements
+    themselves."""
+
+    def __init__(self, field):
+        self.field = field
+        self.zero = field.zero
+        self.one = field.one
+
+    def encode(self, x):
+        if isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field):
+            return x
+        return self._lift(x)
+
+    def decode(self, v):
+        return v
+
+    def decode_rows(self, raw):
+        return raw
+
+    def embed(self, b):
+        """Raw value of the base-field raw value b."""
+        return self.field.embed(self.field.base.ops.decode(b))
+
+    def coeffs(self, v):
+        """Base-field raw coefficients of the raw value v."""
+        return tuple(map(self.field.base.ops.encode, v.coeffs))
+
+    def add(self, a, b):
+        return a + b
+
+    def neg(self, a):
+        return -a
+
+    def mul(self, a, b):
+        return a * b
+
+    def inv(self, a):
+        return self.one / a
+
     def scale(self, c, xs):
         return [x * c for x in xs]
 
@@ -159,23 +272,6 @@ class ObjectOps(_Ops):
             if x and y:
                 acc = acc + x * y
         return acc
-
-
-class _ExtObjectOps(ObjectOps):
-    """ObjectOps of an extension field, with its base-field conversions."""
-
-    def encode(self, x):
-        if isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field):
-            return x
-        return self._lift(x)
-
-    def embed(self, b):
-        """Raw value of the base-field raw value b."""
-        return self.field.embed(self.field.base.ops.decode(b))
-
-    def coeffs(self, v):
-        """Base-field raw coefficients of the raw value v."""
-        return tuple(map(self.field.base.ops.encode, v.coeffs))
 
 
 class ResidueOps(_Ops):
@@ -397,7 +493,7 @@ class RationalField:
 
 
 QQ = RationalField()
-RationalField.ops = ObjectOps(QQ)
+RationalField.ops = RationalOps(QQ)
 
 
 # --- prime fields ----------------------------------------------------------
@@ -629,7 +725,7 @@ class ExtensionField:
     @property
     def ops(self):
         if self._ops is None:
-            self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else _ExtObjectOps(self)
+            self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else ObjectOps(self)
         return self._ops
 
     def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:

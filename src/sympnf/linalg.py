@@ -11,12 +11,16 @@ F_p, Zech logarithms for small extension fields, the elements themselves
 otherwise).  Matrices and subspaces hold raw values, encoded when they are
 built from elements (which checks that every entry lies in the field);
 ``Mat.rows`` and ``Subspace.basis`` are the elements, decoded on first read.
+A matrix product is one call of ``ops.matmul``; over QQ it and the
+characteristic polynomial compute on integers over common denominators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul, neg
 
 from .errors import (
     DimensionMismatchError,
@@ -27,7 +31,7 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .fields import ExtensionField
+from .fields import ExtensionField, RationalOps
 from .poly import Poly, power
 
 __all__ = [
@@ -154,9 +158,8 @@ class Mat:
             o = self._check(other)
             if self.ncols != o.nrows:
                 raise DimensionMismatchError("matrix product shape mismatch")
-            dot = ops.dot
             cols = tuple(zip(*o.raw)) if o.raw else ((),) * o.ncols
-            return Mat.from_raw(self.field, tuple(tuple(dot(r, c) for c in cols) for r in self.raw), o.ncols)
+            return Mat.from_raw(self.field, ops.matmul(self.raw, cols), o.ncols)
         c = ops.encode(other)
         return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw), self.ncols)
 
@@ -418,7 +421,10 @@ def kernel(a: Mat) -> Subspace:
 def charpoly(a: Mat) -> Poly:
     """det(tI - a), monic, via the division-free Berkowitz recursion.
 
-    One code path serves every field and every characteristic.
+    One loop serves every field and every characteristic.  Over QQ it runs on
+    integers: with a = M / D for the integer matrix M and the lcm D of the
+    denominators of a, coefficient k of det(tI - M) (highest degree first)
+    is D^k times that of det(tI - a).
     """
     if a.nrows != a.ncols:
         raise NotSquareError("characteristic polynomial needs a square matrix")
@@ -427,15 +433,27 @@ def charpoly(a: Mat) -> Poly:
     if n == 0:
         return Poly.one(field)
     ops = field.ops
-    neg, dot = ops.neg, ops.dot
-    rows = a.raw
-    # coefficients highest degree first
-    prev = [ops.one, neg(rows[0][0])]
+    if not isinstance(ops, RationalOps):
+        return Poly.from_raw(field, _berkowitz(a.raw, ops.one, ops.neg, ops.dot)[::-1])
+    ints, den = ops.clear([x for r in a.raw for x in r])
+    coeffs = _berkowitz([ints[i : i + n] for i in range(0, n * n, n)], 1, neg, _int_dot)
+    return Poly.from_raw(field, [Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])
+
+
+def _int_dot(xs, ys):
+    return sum(map(mul, xs, ys))
+
+
+def _berkowitz(rows, one, neg, dot):
+    """Coefficients of det(tI - rows), highest degree first, for a square
+    n x n matrix with n >= 1, in the arithmetic of one, neg and dot."""
+    n = len(rows)
+    prev = [one, neg(rows[0][0])]
     for i in range(1, n):
         top = [r[:i] for r in rows[:i]]
         left = rows[i][:i]
         v = [r[i] for r in rows[:i]]
-        col = [ops.one, neg(rows[i][i])]
+        col = [one, neg(rows[i][i])]
         for k in range(i):
             col.append(neg(dot(left, v)))
             if k + 1 < i:
@@ -443,7 +461,7 @@ def charpoly(a: Mat) -> Poly:
         # first i+2 coefficients of conv(col, prev), where len(prev) = i + 1
         rev = prev[::-1]
         prev = [dot(col[max(0, s - i) : s + 1], rev[max(i - s, 0) :]) for s in range(i + 2)]
-    return Poly.from_raw(field, prev[::-1])
+    return prev
 
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:

@@ -2,10 +2,11 @@
 codecs and scalar primitives of every kind of ``field.ops``, the Zech tables,
 and the kernels' defining identities on random matrices of every shape."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sympnf.errors import MixedFieldsError, SingularMatrixError
@@ -16,12 +17,14 @@ from sympnf.fields import (
     ObjectOps,
     PrimeField,
     QQ,
+    RationalOps,
     ResidueOps,
     ZechOps,
     make_field,
 )
 from sympnf.linalg import (
     Mat,
+    _berkowitz,
     charpoly,
     extend_scalars,
     inverse,
@@ -64,11 +67,11 @@ IDS = ["QQ", "F3", "F101", "F9", "F81", "F101^2", "F101^3"]
 
 
 def test_representation_follows_the_order():
-    assert type(QQ.ops) is ObjectOps
+    assert type(QQ.ops) is RationalOps
     assert type(F3.ops) is ResidueOps and type(F101.ops) is ResidueOps
     assert all(type(f.ops) is ZechOps for f in (F9, F81, F101_2))
     assert F101_2.order <= ZECH_MAX_ORDER < F101_3.order
-    assert not isinstance(F101_3.ops, ZechOps)
+    assert type(F101_3.ops) is ObjectOps
 
 
 def elements(field):
@@ -103,6 +106,86 @@ def test_raw_scalars_agree_with_the_elements(field, data):
         assert ops.scale(c, xs) == [mul(c, x) for x in xs]
     products = [mul(x, y) for x, y in zip(xs + [ra], ys + [rb])]
     assert ops.dot(xs + [ra], ys + [rb]) == ops.add(ops.add(products[0], products[3]), products[1])
+
+
+# --- the rational kernels against plain Fraction arithmetic --------------------
+
+# denominators that are equal to, divide, share a factor with or are coprime to
+# the running lcm of RationalOps.dot, with small, 30-digit and zero numerators
+_DENOMINATORS = (1, 2, 3, 4, 6, 12, 7, 10**20 + 39)
+
+
+def rationals():
+    numerators = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**30), 10**30))
+    return st.builds(Fraction, numerators, st.sampled_from(_DENOMINATORS))
+
+
+def _fraction_dot(xs, ys):
+    return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
+
+
+# every branch of the running lcm in one dot: an integer, a coprime denominator,
+# an equal one, a divisor, one sharing a factor, a zero, a 30-digit numerator
+_EVERY_BRANCH = [
+    (Fraction(3), Fraction(-2)),
+    (Fraction(5, 4), Fraction(1, 3)),
+    (Fraction(1, 6), Fraction(1, 2)),
+    (Fraction(7, 2), Fraction(1, 2)),
+    (Fraction(1, 10), Fraction(1)),
+    (Fraction(0), Fraction(5, 7)),
+    (Fraction(10**30 + 1, 7), Fraction(-1, 3)),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pairs=st.lists(st.tuples(rationals(), rationals()), max_size=7), c=rationals())
+@example(pairs=_EVERY_BRANCH, c=Fraction(-1))
+@example(pairs=_EVERY_BRANCH, c=Fraction(1))
+@example(pairs=_EVERY_BRANCH, c=Fraction(-10**30, 7))
+def test_rational_kernels_agree_with_fraction_arithmetic(pairs, c):
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    ops = QQ.ops
+    got = [ops.dot(xs, ys), *ops.scale(c, xs), *ops.axpy(c, xs, ys)]
+    assert got == [_fraction_dot(xs, ys), *(c * x for x in xs), *(c * x + y for x, y in zip(xs, ys))]
+    assert all(type(v) is Fraction for v in got)  # never a bare int
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_matmul_agrees_with_fraction_arithmetic(data):
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+    rows = [data.draw(st.lists(rationals(), min_size=k, max_size=k)) for _ in range(r)]
+    cols = [data.draw(st.lists(rationals(), min_size=k, max_size=k)) for _ in range(c)]
+    got = QQ.ops.matmul(rows, cols)
+    assert got == tuple(tuple(_fraction_dot(x, y) for y in cols) for x in rows)
+    assert all(type(v) is Fraction for row in got for v in row)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_rational_charpoly_is_the_fraction_berkowitz(data):
+    n = data.draw(st.integers(1, 5))
+    a = Mat(QQ, [data.draw(st.lists(rationals(), min_size=n, max_size=n)) for _ in range(n)])
+    got = charpoly(a).raw
+    assert list(got) == _berkowitz(a.raw, Fraction(1), operator.neg, _fraction_dot)[::-1]
+    assert all(type(v) is Fraction for v in got)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=IDS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_matmul_is_the_entrywise_dot(field, data):
+    ops = field.ops
+    r, k, c = (data.draw(st.integers(0, 4)) for _ in range(3))
+
+    def vector():
+        return tuple(ops.encode(data.draw(elements(field))) for _ in range(k))
+
+    rows, cols = [vector() for _ in range(r)], [vector() for _ in range(c)]
+    assert ops.matmul(rows, cols) == tuple(tuple(ops.dot(x, y) for y in cols) for x in rows)
+    # through a 0-wide inner dimension every entry is the raw zero
+    assert ops.matmul([()] * 2, [()] * 3) == ((ops.zero,) * 3,) * 2
+    assert Mat.zeros(field, 2, 0) * Mat.zeros(field, 0, 3) == Mat.zeros(field, 2, 3)
 
 
 @pytest.mark.parametrize("field", [F9, F81, F101_2], ids=["F9", "F81", "F101^2"])

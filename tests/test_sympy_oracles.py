@@ -2,8 +2,9 @@
 polynomials, and the Jordan block sizes of each certificate read off the
 ranks of (A - lambda)^k.  Over QQ and the prime fields the oracle is SymPy, a
 test-only dependency whose tests are skipped without it.  SymPy's GF(9) is
-Z/9, so over F_9 the ranks are taken on the arithmetic of the independent
-checker, which shares no code with sympnf."""
+Z/9, so over F_9 the ranks, and the characteristic polynomials by Hessenberg
+reduction, are taken on the arithmetic of the independent checker, which
+shares no code with sympnf."""
 
 import json
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from sympnf.fields import QQ
 from sympnf.linalg import charpoly
-from sympnf.serialize import certificate_to_json, dumps_canonical
+from sympnf.serialize import certificate_to_json, dumps_canonical, encode_scalar, instance_to_json
 
 from independent_checker import _arithmetic, matrix_product
 from test_acceptance import CORPUS, _cert
@@ -106,6 +107,14 @@ def test_jordan_blocks_match_sympy_ranks():
     assert checked >= 300
 
 
+def _checker_neg_inv(x, mul, minus_one, q):
+    """-1/x over F_q, as -x^(q-2)."""
+    out = minus_one
+    for _ in range(q - 2):
+        out = mul(out, x)
+    return out
+
+
 def _checker_rank(rows, arithmetic, q):
     """Rank by elimination on the checker's arithmetic over F_q, each pivot
     inverted as x^(q-2)."""
@@ -118,9 +127,7 @@ def _checker_rank(rows, arithmetic, q):
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        neg_inv = minus_one
-        for _ in range(q - 2):
-            neg_inv = mul(neg_inv, rows[rank][col])
+        neg_inv = _checker_neg_inv(rows[rank][col], mul, minus_one, q)
         for i in range(rank + 1, len(rows)):
             if rows[i][col] != zero:
                 factor = mul(rows[i][col], neg_inv)
@@ -159,3 +166,57 @@ def test_f9_jordan_blocks_match_ranks_on_the_checker_arithmetic():
             multiplicities += dim - ranks[-1]
         assert multiplicities == dim, CORPUS[idx].label
     assert checked == 67
+
+
+def _checker_charpoly(a, arithmetic, q):
+    """det(tI - a), lowest degree first, on the checker's arithmetic over F_q:
+    a is brought to upper Hessenberg form h by similarities, and then
+    p_m = (t - h[m-1][m-1]) p_(m-1)
+          - sum over i = 1 .. m-1 of h[m-1-i][m-1] h[m-1][m-2] ... h[m-i][m-i-1] p_(m-1-i)."""
+    _, add, mul, embed = arithmetic
+    zero, one, minus_one = embed(0), embed(1), embed(-1)
+    h = [list(r) for r in a]
+    n = len(h)
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if h[i][k] != zero), None)
+        if pivot is None:
+            continue
+        # conjugate by the transposition of k + 1 and pivot
+        h[k + 1], h[pivot] = h[pivot], h[k + 1]
+        for r in h:
+            r[k + 1], r[pivot] = r[pivot], r[k + 1]
+        neg_inv = _checker_neg_inv(h[k + 1][k], mul, minus_one, q)
+        for i in range(k + 2, n):
+            f = mul(h[i][k], neg_inv)
+            # row i += f row k+1, then column k+1 -= f column i: a similarity
+            h[i] = [add(x, mul(f, y)) for x, y in zip(h[i], h[k + 1])]
+            for r in h:
+                r[k + 1] = add(r[k + 1], mul(minus_one, mul(f, r[i])))
+
+    def add_scaled(c, p, acc):
+        """acc + c p, for len(p) <= len(acc)."""
+        return [add(x, mul(c, y)) for x, y in zip(acc, p)] + acc[len(p) :]
+
+    polys = [[one]]
+    for m in range(1, n + 1):
+        p = add_scaled(mul(minus_one, h[m - 1][m - 1]), polys[m - 1], [zero] + polys[m - 1])
+        sub = one
+        for i in range(1, m):
+            sub = mul(sub, h[m - i][m - i - 1])
+            p = add_scaled(mul(minus_one, mul(h[m - 1 - i][m - 1], sub)), polys[m - 1 - i], p)
+        polys.append(p)
+    return polys[n]
+
+
+def test_f9_charpoly_matches_hessenberg_on_the_checker_arithmetic():
+    assert len(F9_INDICES) == 100
+    for idx in F9_INDICES:
+        inst = CORPUS[idx]
+        data = json.loads(dumps_canonical(instance_to_json(inst.space, inst.matrix)))
+        arithmetic = parse, _, _, _ = _arithmetic(data["field"])
+        q = int(data["field"]["p"]) ** (len(data["field"]["modulus"]) - 1)
+        assert q == 9
+        a = [[parse(x) for x in row] for row in data["matrix"]]
+        field = inst.space.field
+        got = [parse(encode_scalar(field, c)) for c in charpoly(inst.matrix).coeffs]
+        assert got == _checker_charpoly(a, arithmetic, q), inst.label
