@@ -12,10 +12,12 @@ compute on, the codec between them and the elements, and the few scalar and
 row primitives both are written in.  F_p values are residues in [0, p);
 extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
 tables are built with polynomial products modulo the modulus on the first use
-of the field's ``ops``; larger extensions use the elements themselves.  The
-rationals use their ``Fraction`` elements too, but their kernels compute on
-integer numerators over a common denominator and build one ``Fraction`` per
-result (``RationalOps``).  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
+of the field's ``ops``; larger extensions and the rationals use the elements
+themselves, with the elements' arithmetic.  Over QQ the matrix product
+(``matmul``), row scalings and updates (``scale``/``axpy``) and the
+characteristic polynomial (``linalg.charpoly``) compute on integer numerators
+over a common denominator and build one ``Fraction`` per result.  Only
+``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
 Extension-field elements never touch their field's ``ops``: at every order a product is a
 polynomial product reduced modulo the modulus and an inverse an extended gcd
@@ -126,18 +128,14 @@ class _Ops:
         return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
 
-class RationalOps(_Ops):
-    """QQ: raw values are the canonical ``Fraction`` elements themselves,
-    never bare ints.  The kernels compute on their integer numerators and
-    denominators and build one ``Fraction`` per result."""
+class _ElementOps(_Ops):
+    """Raw values are the elements themselves; the scalar primitives are the
+    elements' own arithmetic."""
 
     def __init__(self, field):
         self.field = field
         self.zero = field.zero
         self.one = field.one
-
-    def encode(self, x):
-        return x if isinstance(x, Fraction) else self._lift(x)
 
     def decode(self, v):
         return v
@@ -156,6 +154,28 @@ class RationalOps(_Ops):
 
     def inv(self, a):
         return self.one / a
+
+    def scale(self, c, xs):
+        return [x * c for x in xs]
+
+    def axpy(self, c, xs, ys):
+        return [c * x + y if x else y for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys):
+        acc = self.zero
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = acc + x * y
+        return acc
+
+
+class RationalOps(_ElementOps):
+    """QQ: raw values are the canonical ``Fraction`` elements, never bare
+    ints.  Products, scalings and row updates compute on their integer
+    numerators and denominators and build one ``Fraction`` per result."""
+
+    def encode(self, x):
+        return x if isinstance(x, Fraction) else self._lift(x)
 
     @staticmethod
     def clear(xs):
@@ -191,25 +211,6 @@ class RationalOps(_Ops):
             out.append(y)
         return out
 
-    def dot(self, xs, ys):
-        # one numerator over the running lcm of the denominators: products
-        # of denominators (n d' + n' d over d d') grow much faster
-        num, den = 0, 1
-        for x, y in zip(xs, ys):
-            n = x.numerator * y.numerator
-            if n:
-                d = x.denominator * y.denominator
-                if d == den:
-                    num += n
-                else:
-                    g = gcd(den, d)
-                    if g == d:
-                        num += n * (den // d)
-                    else:
-                        num = num * (d // g) + n * (den // g)
-                        den = den // g * d
-        return Fraction(num, den)
-
     def matmul(self, rows, cols):
         clear = self.clear
         cols = [clear(c) for c in cols]
@@ -220,25 +221,13 @@ class RationalOps(_Ops):
         return tuple(out)
 
 
-class ObjectOps(_Ops):
-    """Extension fields above ZECH_MAX_ORDER: raw values are the elements
-    themselves."""
-
-    def __init__(self, field):
-        self.field = field
-        self.zero = field.zero
-        self.one = field.one
+class ObjectOps(_ElementOps):
+    """Extension fields above ZECH_MAX_ORDER."""
 
     def encode(self, x):
         if isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field):
             return x
         return self._lift(x)
-
-    def decode(self, v):
-        return v
-
-    def decode_rows(self, raw):
-        return raw
 
     def embed(self, b):
         """Raw value of the base-field raw value b."""
@@ -247,31 +236,6 @@ class ObjectOps(_Ops):
     def coeffs(self, v):
         """Base-field raw coefficients of the raw value v."""
         return tuple(map(self.field.base.ops.encode, v.coeffs))
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return self.one / a
-
-    def scale(self, c, xs):
-        return [x * c for x in xs]
-
-    def axpy(self, c, xs, ys):
-        return [c * x + y if x else y for x, y in zip(xs, ys)]
-
-    def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = acc + x * y
-        return acc
 
 
 class ResidueOps(_Ops):

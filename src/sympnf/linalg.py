@@ -465,27 +465,19 @@ def _berkowitz(rows, one, neg, dot):
 
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:
-    """Horner evaluation P(a), started at lc * a so that no product takes the
-    identity: degree d costs max(d - 1, 0) products."""
+    """Horner evaluation P(a): acc = acc * a + c * I over the coefficients c
+    of P, highest first, from acc = 0."""
     if a.nrows != a.ncols:
         raise NotSquareError("polynomial evaluation needs a square matrix")
     if p.field != a.field:
         raise MixedFieldsError("polynomial and matrix over different fields")
     field = a.field
-    n = a.nrows
-    if p.is_zero():
-        return Mat.zeros(field, n, n)
-    ops = field.ops
-    lead, *coeffs = reversed(p.raw)
-    start = a.raw if coeffs else _identity_raw(ops, n)
-    acc = Mat.from_raw(field, tuple(tuple(ops.scale(lead, r)) for r in start), n)
-    for k, c in enumerate(coeffs):
-        if k:
-            acc = acc * a
+    add = field.ops.add
+    acc = Mat.zeros(field, a.nrows, a.ncols)
+    for c in reversed(p.raw):
+        acc = acc * a
         if c:
-            acc = Mat.from_raw(
-                field, tuple(r[:i] + (ops.add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw))
-            )
+            acc = Mat.from_raw(field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw)))
     return acc
 
 

@@ -142,11 +142,10 @@ class VerificationReport:
 # --- primary decomposition --------------------------------------------------
 
 
-def _self_adjoint_factorization(space: SymplecticSpace, a: Mat, seed: int, refusal: str) -> Factorization:
-    """factor(charpoly(a)), after refusing a that is not self-adjoint with
-    NotSelfAdjointError(refusal)."""
+def _self_adjoint_factorization(space: SymplecticSpace, a: Mat, seed: int) -> Factorization:
+    """factor(charpoly(a)), after refusing a that is not self-adjoint."""
     if not is_self_adjoint(space, a):
-        raise NotSelfAdjointError(refusal)
+        raise NotSelfAdjointError("operator is not self-adjoint")
     return factor(charpoly(a), seed)
 
 
@@ -168,7 +167,7 @@ def _primary_kernel(g: Mat, m: int) -> Subspace:
 def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
     """Split the space into invariant symplectic kernels of P_i(a)^{m_i/2},
     ordered by the canonical factor key."""
-    fac = _self_adjoint_factorization(space, a, seed, "primary decomposition needs a self-adjoint operator")
+    fac = _self_adjoint_factorization(space, a, seed)
     if fac.unresolved:
         raise UnresolvedFactorError("characteristic polynomial has an unresolved irreducible factor")
     comps = []
@@ -334,7 +333,7 @@ def split_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[Ma
     Returns (C, B, jordan_spec) with eigenvalues in ascending canonical order
     and block sizes weakly decreasing within each eigenvalue.
     """
-    roots = _roots(_self_adjoint_factorization(space, a, seed, "operator is not self-adjoint"))
+    roots = _roots(_self_adjoint_factorization(space, a, seed))
     if roots is None:
         raise EigenvaluesNotInFieldError("eigenvalues do not all lie in the base field")
     return _split_core(space, a, roots)
@@ -378,7 +377,7 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
     if space.field.kind == "rational":
         raise NotFiniteFieldError("descent requires a finite base field")
     # factor() is complete over a finite field, so nothing is left unresolved
-    fac = _self_adjoint_factorization(space, a, seed, "primary decomposition needs a self-adjoint operator")
+    fac = _self_adjoint_factorization(space, a, seed)
     c, b = _descent_core(space, a, fac)
     if not verify_certificate(NormalFormCertificate(space, a, c, b, "descent", None)).ok:
         raise InternalDescentFailureError("descent basis did not block-diagonalize the operator")
@@ -404,7 +403,7 @@ def _descent_core(space: SymplecticSpace, a: Mat, fac: Factorization) -> tuple[M
 
 def symplectic_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> NormalFormCertificate:
     """Dispatch to the splitting or descent case and certify the result."""
-    fac = _self_adjoint_factorization(space, a, seed, "operator is not self-adjoint")
+    fac = _self_adjoint_factorization(space, a, seed)
     roots = _roots(fac)
     if roots is not None:
         c, b, spec = _split_core(space, a, roots)

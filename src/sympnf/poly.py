@@ -425,8 +425,7 @@ def _rational_roots(f: Poly) -> list:
     if f.degree < 1:
         return roots
     # primitive integer form
-    denom = math.lcm(*[c.denominator for c in f.coeffs])
-    ints = [int(c * denom) for c in f.coeffs]
+    ints, _ = field.ops.clear(f.raw)
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     c0, lc = ints[0], ints[-1]
@@ -488,12 +487,10 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     factors: list[tuple[Poly, int]] = []
     unresolved: list[tuple[Poly, int]] = []
     if field.kind == "rational":
-        from fractions import Fraction
-
         for g, m in squarefree_decomposition(f):
             rest = g
             for root in sorted(_rational_roots(g)):
-                lin = Poly(field, [-root, Fraction(1)])
+                lin = Poly(field, [-root, field.one])
                 factors.append((lin, m))
                 rest = rest // lin
             if rest.degree > 0:

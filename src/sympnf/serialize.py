@@ -11,7 +11,7 @@ import re
 from fractions import Fraction
 
 from .errors import InstanceParseError
-from .fields import ExtensionField, PrimeField, QQ, RationalField, make_field
+from .fields import ExtElement, ExtensionField, PrimeField, QQ, RationalField, make_field
 from .linalg import Mat
 from .normalform import NormalFormCertificate
 from .symplectic import SymplecticSpace
@@ -87,8 +87,6 @@ def decode_scalar(field, s):
             coeffs = [decode_scalar(field.base, c) for c in s]
             if len(coeffs) != field.degree:
                 raise InstanceParseError(f"expected {field.degree} coefficients, got {len(coeffs)}")
-            from .fields import ExtElement
-
             return ExtElement(field, tuple(coeffs))
     except InstanceParseError:
         raise

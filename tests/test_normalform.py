@@ -169,6 +169,15 @@ def test_certify_raises_each_eigenvalue_to_half_its_multiplicity(monkeypatch):
     assert exponents == [4, 1]
 
 
+@pytest.mark.parametrize(
+    "certify", [symplectic_normal_form, split_normal_form, descent_normal_form, primary_decomposition]
+)
+def test_every_entry_point_refuses_an_operator_that_is_not_self_adjoint_alike(certify):
+    sp = SymplecticSpace(F5, 1)
+    with pytest.raises(NotSelfAdjointError, match="^operator is not self-adjoint$"):
+        certify(sp, Mat.from_ints(F5, [[1, 2], [3, 4]]))
+
+
 class TestPrimaryDecomposition:
     def test_two_eigenvalues(self):
         sp = SymplecticSpace(QQ, 2)

@@ -111,7 +111,8 @@ def test_raw_scalars_agree_with_the_elements(field, data):
 # --- the rational kernels against plain Fraction arithmetic --------------------
 
 # denominators that are equal to, divide, share a factor with or are coprime to
-# the running lcm of RationalOps.dot, with small, 30-digit and zero numerators
+# one another, with small, 30-digit and zero numerators, so that the draws take
+# every branch of RationalOps.axpy
 _DENOMINATORS = (1, 2, 3, 4, 6, 12, 7, 10**20 + 39)
 
 
@@ -124,8 +125,9 @@ def _fraction_dot(xs, ys):
     return sum((x * y for x, y in zip(xs, ys)), Fraction(0))
 
 
-# every branch of the running lcm in one dot: an integer, a coprime denominator,
-# an equal one, a divisor, one sharing a factor, a zero, a 30-digit numerator
+# every branch of RationalOps.axpy in one row: an integer, a coprime
+# denominator, an equal one, a divisor, one sharing a factor, a zero on either
+# side, a 30-digit numerator
 _EVERY_BRANCH = [
     (Fraction(3), Fraction(-2)),
     (Fraction(5, 4), Fraction(1, 3)),
@@ -133,6 +135,7 @@ _EVERY_BRANCH = [
     (Fraction(7, 2), Fraction(1, 2)),
     (Fraction(1, 10), Fraction(1)),
     (Fraction(0), Fraction(5, 7)),
+    (Fraction(2, 9), Fraction(0)),
     (Fraction(10**30 + 1, 7), Fraction(-1, 3)),
 ]
 

@@ -258,7 +258,7 @@ def _descent_instance():
 def test_descent_core_neither_inverts_nor_compares_blocks(monkeypatch):
     """Nor does it check the lagrangian pair again: C and B alone are verified."""
     space, a = _descent_instance()
-    fac = _self_adjoint_factorization(space, a, 0, "not self-adjoint")
+    fac = _self_adjoint_factorization(space, a, 0)
 
     def refused(*args):
         raise AssertionError("called")
