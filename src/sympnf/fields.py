@@ -14,9 +14,10 @@ extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
 tables are built with polynomial products modulo the modulus on the first use
 of the field's ``ops``; larger extensions and the rationals use the elements
 themselves, with the elements' arithmetic.  Over QQ the matrix product
-(``matmul``), row scalings and updates (``scale``/``axpy``) and the
-characteristic polynomial (``linalg.charpoly``) compute on integer numerators
-over a common denominator and build one ``Fraction`` per result.  Only
+(``matmul``), row scalings and updates (``scale``/``axpy``), the
+characteristic polynomial (``linalg.charpoly``) and row reduction
+(``linalg._reduce``, fraction-free) compute on integer numerators over a
+common denominator and build one ``Fraction`` per result.  Only
 ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
 Extension-field elements never touch their field's ``ops``: at every order a product is a
@@ -181,8 +182,11 @@ class RationalOps(_ElementOps):
     def clear(xs):
         """(ints, den) with xs = ints / den and den the lcm of the
         denominators of xs."""
-        den = lcm(*[x.denominator for x in xs])
-        return [x.numerator * (den // x.denominator) for x in xs], den
+        dens = [x.denominator for x in xs]
+        den = lcm(*dens)
+        if den == 1:
+            return [x.numerator for x in xs], 1
+        return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
     def scale(self, c, xs):
         n, d = c.numerator, c.denominator
@@ -212,12 +216,16 @@ class RationalOps(_ElementOps):
         return out
 
     def matmul(self, rows, cols):
-        clear = self.clear
+        clear, zero = self.clear, self.zero
         cols = [clear(c) for c in cols]
         out = []
         for r in rows:
             r, dr = clear(r)
-            out.append(tuple([Fraction(sum(map(mul, r, c)), dr * dc) for c, dc in cols]))
+            row = []
+            for c, dc in cols:
+                s = sum(map(mul, r, c))
+                row.append(Fraction(s, dr * dc) if s else zero)
+            out.append(tuple(row))
         return tuple(out)
 
 

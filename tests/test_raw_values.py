@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sympnf.errors import MixedFieldsError, SingularMatrixError
 from sympnf.fields import (
     ZECH_MAX_ORDER,
+    _ElementOps,
     ExtElement,
     ExtensionField,
     ObjectOps,
@@ -25,11 +26,13 @@ from sympnf.fields import (
 from sympnf.linalg import (
     Mat,
     _berkowitz,
+    _reduce,
     charpoly,
     extend_scalars,
     inverse,
     kernel,
     mat_poly_eval,
+    rank,
     restrict_scalars,
     rref,
 )
@@ -174,6 +177,54 @@ def test_rational_charpoly_is_the_fraction_berkowitz(data):
     assert all(type(v) is Fraction for v in got)
 
 
+@st.composite
+def rational_blocks(draw):
+    """(rows, width) for ``_reduce``: rows of rationals(), half of them
+    rank-deficient products, with zero rows and all-integer rows mixed in,
+    and pivots allowed in the first ``width`` of the columns only."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+
+    def vectors(count, length):
+        return [tuple(draw(st.lists(rationals(), min_size=length, max_size=length))) for _ in range(count)]
+
+    if n > 1 and m and draw(st.booleans()):
+        k = draw(st.integers(1, n - 1))
+        rows = list(QQ.ops.matmul(vectors(n, k), vectors(m, k)))
+    else:
+        rows = vectors(n, m)
+    for i in range(n):
+        kind = draw(st.sampled_from(("as drawn", "zero", "integers")))
+        if kind == "zero":
+            rows[i] = (QQ.zero,) * m
+        elif kind == "integers":
+            rows[i] = tuple(Fraction(x.numerator) for x in rows[i])
+    return rows, draw(st.integers(0, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=rational_blocks())
+@example(block=([], 3))  # no rows
+@example(block=([(Fraction(0),)], 1))  # a 1x1 zero
+@example(block=([(Fraction(0), Fraction(1, 3)), (Fraction(2, 7), Fraction(5))], 2))  # a swap at column 0
+def test_rational_reduce_is_the_element_loop(block):
+    """The fraction-free elimination over QQ against the field loop on the
+    same rows: the same pivots and RREF, and below the rank nonzero multiples
+    of the same rows."""
+    rows, width = block
+    got, want = list(rows), list(rows)
+    pivots = _reduce(QQ.ops, got, width)
+    assert pivots == _reduce(_ElementOps(QQ), want, width)
+    rk = len(pivots)
+    assert list(map(tuple, got[:rk])) == list(map(tuple, want[:rk]))
+    for f, e in zip(got[rk:], want[rk:]):
+        k = next((j for j, x in enumerate(e) if x), None)
+        if k is None:
+            assert not any(f)
+        else:
+            assert f[k] and [x * f[k] for x in e] == [y * e[k] for y in f]
+    assert all(type(v) is Fraction for r in got for v in r)
+
+
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
 @settings(max_examples=20, deadline=None)
 @given(data=st.data())
@@ -248,6 +299,7 @@ def test_rref_transform_and_kernel(field, data):
     a = data.draw(matrices(field))
     res = rref(a)
     assert res.transform * a == res.rref
+    assert rank(res.transform) == a.nrows  # zero rows below the rank would pass the line above
     assert _is_rref(res.rref, res.pivots) and res.rank == len(res.pivots)
     k = kernel(a)
     assert k.dim == a.ncols - res.rank
