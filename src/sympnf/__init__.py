@@ -13,7 +13,6 @@ from .fields import (
     RationalField,
     frobenius,
     make_field,
-    pth_root,
 )
 from .linalg import (
     Mat,
@@ -57,7 +56,6 @@ from .symplectic import (
     adjoint,
     classify_subspace,
     darboux_from_lagrangian_pair,
-    form_eval,
     is_self_adjoint,
     is_symplectic_matrix,
     random_symplectic,

@@ -43,7 +43,8 @@ EXIT_PREDICATE_FALSE = 1
 EXIT_UNSUPPORTED = 2
 EXIT_PARSE = 3
 
-# the largest n that `random` builds: over QQ n = 64 takes about 2 s, n = 128 took 242 s
+# the largest n that `random` builds: over QQ, with the eigenvalues (-1)^k k/(1 + k mod 3),
+# n = 64 takes about 0.5 s through the CLI and n = 128 took 12-15 s in process (2-core host)
 RANDOM_MAX_N = 64
 
 

@@ -2,6 +2,8 @@
 the rationals, prime fields F_p, and extensions F_q[x]/(m) presented by a
 monic irreducible modulus.  Extension contexts may be stacked, so the
 splitting field of a polynomial over F_{p^k} is again an ExtensionField.
+``make_field`` builds a field from descriptor data; ``frobenius`` is the
+Frobenius map of a finite field.
 
 Rational scalars are plain ``fractions.Fraction`` values; finite-field
 scalars are immutable wrapper objects carrying their field context.  All
@@ -52,7 +54,6 @@ __all__ = [
     "QQ",
     "make_field",
     "frobenius",
-    "pth_root",
 ]
 
 
@@ -770,11 +771,3 @@ def frobenius(x, iterate: int = 1, base_order: int | None = None):
         raise RationalFieldError("Frobenius is undefined over the rationals")
     q0 = field.char if base_order is None else base_order
     return x ** (q0 ** iterate)
-
-
-def pth_root(x):
-    """The unique y with y^p = x in a finite field of size p^k."""
-    field = getattr(x, "field", None)
-    if field is None or field.kind == "rational":
-        raise RationalFieldError("p-th roots are only taken in finite fields")
-    return x ** (field.order // field.char)

@@ -1,6 +1,7 @@
-"""Exact dense linear algebra: row reduction, kernels, solving, the
-Berkowitz characteristic polynomial, operator restriction, and the scalar
-extension / restriction used by Galois descent.
+"""Exact dense linear algebra: ``Mat`` and ``Subspace``, row reduction
+(``rref``), ``kernel``, ``solve`` and ``inverse``, the Berkowitz ``charpoly``,
+``mat_poly_eval``, ``restrict_operator``, and the scalar extension /
+restriction used by Galois descent (``extend_scalars``, ``restrict_scalars``).
 
 Matrices are immutable row-major tuples over a single field context.
 Subspaces are always stored with a reduced-row-echelon basis, so subspace
@@ -97,10 +98,6 @@ class Mat:
         return cls.from_raw(field, ((field.ops.zero,) * c,) * r, c)
 
     @classmethod
-    def from_ints(cls, field, rows):
-        return cls(field, rows)
-
-    @classmethod
     def block_diag(cls, field, blocks):
         m = sum(b.ncols for b in blocks)
         z = field.ops.zero
@@ -166,14 +163,6 @@ class Mat:
         return Mat.from_raw(self.field, tuple(tuple(ops.scale(c, r)) for r in self.raw), self.ncols)
 
     __rmul__ = __mul__
-
-    def matvec(self, v):
-        if len(v) != self.ncols:
-            raise DimensionMismatchError("matvec shape mismatch")
-        ops = self.field.ops
-        x = tuple(map(ops.encode, v))
-        dot = ops.dot
-        return tuple(ops.decode(dot(r, x)) for r in self.raw)
 
     def __pow__(self, e: int):
         if self.nrows != self.ncols:
@@ -371,14 +360,6 @@ class Subspace:
         res = rref(Mat.from_raw(field, tuple(raw_vectors)))
         return cls.from_raw(field, ambient_dim, res.rref.raw[: res.rank])
 
-    @classmethod
-    def zero(cls, field, ambient_dim) -> "Subspace":
-        return cls.from_raw(field, ambient_dim, ())
-
-    @classmethod
-    def full(cls, field, ambient_dim) -> "Subspace":
-        return cls.from_raw(field, ambient_dim, _identity_raw(field.ops, ambient_dim))
-
     @property
     def dim(self):
         return len(self.raw)
@@ -403,27 +384,6 @@ class Subspace:
             if c:
                 v = axpy(neg(c), row, v)
         return not any(v)
-
-    def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionMismatchError("vector length differs from ambient dimension")
-        return self._contains_raw(tuple(map(self.field.ops.encode, v)))
-
-    def annihilator_rows(self) -> Mat:
-        """Matrix N with kernel exactly this subspace: x in S iff N x = 0."""
-        return kernel(self.basis_matrix()).basis_matrix()
-
-    def intersection(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatchError("subspaces of different ambient spaces")
-        n1 = self.annihilator_rows()
-        n2 = other.annihilator_rows()
-        return kernel(Mat.from_raw(self.field, n1.raw + n2.raw, self.ambient_dim))
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        if other.ambient_dim != self.ambient_dim:
-            raise DimensionMismatchError("subspaces of different ambient spaces")
-        return Subspace._span(self.field, self.ambient_dim, self.raw + other.raw)
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -524,10 +484,6 @@ def mat_poly_eval(p: Poly, a: Mat) -> Mat:
         if c:
             acc = Mat.from_raw(field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw)))
     return acc
-
-
-def rank(a: Mat) -> int:
-    return rref(a).rank
 
 
 def restrict_operator(a: Mat, s: Subspace) -> Mat:

@@ -439,7 +439,8 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
     C^-1 = -O C^T O, so only a C that fails symplectic_basis is inverted by
     elimination.  Similar matrices share a characteristic polynomial, so
     charpoly_square is computed only when conjugation fails or B is not an
-    n x n matrix over the certificate's field.
+    n x n matrix over the certificate's field.  A jordan_spec is checked
+    whenever one is claimed, whatever the case tag says.
     """
     space = cert.space
     field = space.field
@@ -455,7 +456,7 @@ def verify_certificate(cert: NormalFormCertificate) -> VerificationReport:
         checks["conjugation"] = c_inv * a * c == target
     except Exception:
         checks["conjugation"] = False
-    if cert.case == "jordan":
+    if cert.case == "jordan" or cert.jordan_spec is not None:
         try:
             claimed = [s for _, sizes in cert.jordan_spec for s in sizes]
             # bounded before any block is built: a claimed size is not trusted

@@ -98,14 +98,6 @@ class Poly:
     def x(cls, field):
         return cls.from_raw(field, (field.ops.zero, field.ops.one))
 
-    @classmethod
-    def constant(cls, field, c):
-        return cls(field, (c,))
-
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(i) for i in ints])
-
     # -- structure
 
     @property
@@ -432,7 +424,7 @@ def _rational_roots(f: Poly) -> list:
     p = 3
     while True:
         if lc % p and is_prime(p):
-            fp = Poly.from_ints(PrimeField(p), ints).monic()
+            fp = Poly(PrimeField(p), ints).monic()
             if poly_gcd(fp, fp.derivative()).degree == 0:
                 break
         p += 2
@@ -467,7 +459,7 @@ class Factorization:
 
     def product(self) -> Poly:
         field = self.factors[0][0].field if self.factors else self.unresolved[0][0].field
-        acc = Poly.constant(field, self.unit)
+        acc = Poly(field, (self.unit,))
         for g, m in self.factors + self.unresolved:
             acc = acc * g ** m
         return acc

@@ -1,7 +1,8 @@
-"""The symplectic structure on K^{2n}: the fixed block form, adjoints,
-self-adjointness and symplecticity predicates, sigma-complements, subspace
-classification, the dual-basis construction from a lagrangian pair, and a
-seeded generator of symplectic matrices for building test corpora.
+"""The symplectic structure on K^{2n}: ``SymplecticSpace`` with its fixed
+block form, ``adjoint``, the predicates ``is_self_adjoint`` and
+``is_symplectic_matrix``, ``symplectic_complement``, ``classify_subspace``,
+the dual-basis construction ``darboux_from_lagrangian_pair``, and
+``random_symplectic``, a seeded generator for building test corpora.
 
 Convention (fixed once, everything sign-sensitive points here): the form is
 sigma(x, y) = x^T O y with O = [[0, I], [-I, 0]], so the standard basis
@@ -23,7 +24,6 @@ from .linalg import Mat, Subspace, inverse, kernel, restrict_operator, rref
 
 __all__ = [
     "SymplecticSpace",
-    "form_eval",
     "adjoint",
     "is_self_adjoint",
     "is_symplectic_matrix",
@@ -58,21 +58,17 @@ class SymplecticSpace:
 
 
 def _omega_times(m: Mat) -> Mat:
-    """O m: the bottom half of the rows of m over the negated top half."""
+    """O m: the bottom half of the rows of m over the negated top half.  A zero
+    is kept as it is, since -0 = 0: over QQ negating it makes a new Fraction."""
     n = m.nrows // 2
-    return Mat.from_raw(m.field, m.raw[n:] + (-m.submatrix(0, n, 0, m.ncols)).raw, m.ncols)
+    neg = m.field.ops.neg
+    top = tuple(tuple([neg(x) if x else x for x in r]) for r in m.raw[:n])
+    return Mat.from_raw(m.field, m.raw[n:] + top, m.ncols)
 
 
 def gram(x: Mat, y: Mat) -> Mat:
     """X O Y^T, the matrix of sigma(x_i, y_j) over the rows of x and y."""
     return x * _omega_times(y.transpose())
-
-
-def form_eval(space: SymplecticSpace, x, y):
-    """sigma(x, y) = x^T O y, exact."""
-    if len(x) != space.dim or len(y) != space.dim:
-        raise DimensionMismatchError("vectors must have length 2n")
-    return gram(Mat(space.field, [x]), Mat(space.field, [y])).rows[0][0]
 
 
 def _check_square(space, a):
@@ -129,7 +125,7 @@ def darboux_from_lagrangian_pair(space: SymplecticSpace, a: Mat, u: Subspace, w:
     for s, name in ((u, "u"), (w, "w")):
         if classify_subspace(space, s) != "lagrangian":
             raise NotLagrangianError(f"{name}-subspace is not lagrangian")
-    if u.sum(w).dim != space.dim:
+    if rref(Mat.from_raw(space.field, u.raw + w.raw)).rank != space.dim:
         raise NotComplementaryError("subspaces are not complementary")
     for s in (u, w):
         restrict_operator(a, s)

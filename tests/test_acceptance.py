@@ -11,7 +11,7 @@ import time
 from fractions import Fraction
 
 from sympnf.fields import PrimeField, QQ, make_field
-from sympnf.linalg import Mat, Subspace, charpoly, inverse, rank
+from sympnf.linalg import Mat, charpoly, inverse, rref
 from sympnf.normalform import (
     NormalFormCertificate,
     cyclic_pair,
@@ -28,12 +28,12 @@ from sympnf.serialize import certificate_to_json, dumps_canonical
 from sympnf.symplectic import (
     SymplecticSpace,
     classify_subspace,
-    form_eval,
     is_self_adjoint,
     is_symplectic_matrix,
 )
 
 from independent_checker import certificate_holds
+from oracles import contains, matvec, sigma, whole_space
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -216,7 +216,7 @@ def test_acceptance_2_projection_identities(capsys):
             for cj in comps[i + 1 :]:
                 for x in ci.basis.basis:
                     for y in cj.basis.basis:
-                        assert form_eval(space, x, y) == space.field.zero
+                        assert sigma(x, y) == space.field.zero
     assert checked >= 100
     with capsys.disabled():
         print(f"\nACCEPTANCE 2 (projection identities): PASS — {checked} multi-factor instances")
@@ -234,7 +234,7 @@ def test_acceptance_3_cyclic_chains(capsys):
             sizes = _random_partition(rng, n)
             space = SymplecticSpace(field, n)
             a = random_self_adjoint(space, rng, [("jordan", field.zero, sizes)])
-            full = Subspace.full(field, space.dim)
+            full = whole_space(field, space.dim)
             pairs = [cyclic_pair(space, a, full, use_recursion=False)]
             pairs.append(cyclic_pair(space, a, full, use_recursion=True))
             one, zero = field.one, field.zero
@@ -244,9 +244,9 @@ def test_acceptance_3_cyclic_chains(capsys):
                 for i2 in range(d):
                     for j in range(d):
                         want = one if i2 == j else zero
-                        assert form_eval(space, pair.w_chain[i2], pair.u_chain[j]) == want
-                        assert form_eval(space, pair.u_chain[i2], pair.u_chain[j]) == zero
-                        assert form_eval(space, pair.w_chain[i2], pair.w_chain[j]) == zero
+                        assert sigma(pair.w_chain[i2], pair.u_chain[j]) == want
+                        assert sigma(pair.u_chain[i2], pair.u_chain[j]) == zero
+                        assert sigma(pair.w_chain[i2], pair.w_chain[j]) == zero
             # both variants satisfy identical post-conditions on the same chain top
             assert pairs[0].u_chain == pairs[1].u_chain
             assert pairs[0].d == pairs[1].d
@@ -275,7 +275,7 @@ def test_acceptance_4_rank_profiles(capsys):
             pa = Mat.identity(field, space.dim)
             pb = Mat.identity(field, space.n)
             for _k in range(2 * space.n + 1):
-                assert rank(pa) == 2 * rank(pb)
+                assert rref(pa).rank == 2 * rref(pb).rank
                 pa = pa * ga
                 pb = pb * gb
     assert checked >= 100
@@ -295,7 +295,7 @@ def test_acceptance_5_exhaustive_n1(capsys):
             for a01 in range(p):
                 for a10 in range(p):
                     for a11 in range(p):
-                        a = Mat.from_ints(field, [[a00, a01], [a10, a11]])
+                        a = Mat(field, [[a00, a01], [a10, a11]])
                         scalar = a01 == 0 and a10 == 0 and a00 == a11
                         assert is_self_adjoint(space, a) == scalar
                         total += 1
@@ -326,7 +326,7 @@ def test_acceptance_6_descent_suite(capsys):
         for s in (u, w):
             assert classify_subspace(space, s) == "lagrangian"
             for v in s.basis:
-                assert s.contains(a.matvec(v))
+                assert contains(s, matvec(a, v))
         checked += 1
     assert checked >= 100
     with capsys.disabled():
@@ -351,18 +351,18 @@ def _symplectic_words(space, max_len):
     gens = [space.omega]
     if n == 1:
         for v in (1, 2):
-            s = Mat.from_ints(field, [[v]])
+            s = Mat(field, [[v]])
             gens.append(blocks(s, z, z, inverse(s).transpose()))
         for m in (1, 2):
-            sym = Mat.from_ints(field, [[m]])
+            sym = Mat(field, [[m]])
             gens.append(blocks(ident, sym, z, ident))
             gens.append(blocks(ident, z, sym, ident))
     else:
         for s_rows in ([[0, 1], [1, 0]], [[1, 1], [0, 1]], [[2, 0], [0, 1]]):
-            s = Mat.from_ints(field, s_rows)
+            s = Mat(field, s_rows)
             gens.append(blocks(s, z, z, inverse(s).transpose()))
         for m_rows in ([[1, 0], [0, 0]], [[0, 1], [1, 0]], [[1, 1], [1, 2]]):
-            sym = Mat.from_ints(field, m_rows)
+            sym = Mat(field, m_rows)
             gens.append(blocks(ident, sym, z, ident))
             gens.append(blocks(ident, z, sym, ident))
     words = {Mat.identity(field, 2 * n)}
@@ -387,7 +387,7 @@ def test_acceptance_7_oracle_equivalence(capsys):
         cases.append((sp1, Mat.identity(F3, 2) * F3.from_int(v)))
     sp2 = SymplecticSpace(F3, 2)
     cases.append((sp2, random_self_adjoint(sp2, rng, [("jordan", F3.zero, (2,))])))
-    cases.append((sp2, random_self_adjoint(sp2, rng, [("companion", Poly.from_ints(F3, [1, 0, 1]), (1,))])))
+    cases.append((sp2, random_self_adjoint(sp2, rng, [("companion", Poly(F3, [1, 0, 1]), (1,))])))
     cases.append((sp2, random_self_adjoint(sp2, rng, [("jordan", F3.one, (1,)), ("jordan", F3.from_int(2), (1,))])))
     compared = accepted = 0
     for space, a in cases:

