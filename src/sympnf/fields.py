@@ -11,20 +11,26 @@ values are canonical at construction, so equality is structural.
 
 Each field also has ``ops``: the raw values that matrices and polynomials
 compute on, the codec between them and the elements, and the few scalar and
-row primitives both are written in.  F_p values are residues in [0, p);
-extension fields of order <= ZECH_MAX_ORDER use Zech logarithms, whose
-tables are built with polynomial products modulo the modulus on the first use
-of the field's ``ops``; larger extensions and the rationals use the elements
-themselves, with the elements' arithmetic.  Over QQ the matrix product
+row primitives both are written in.  F_p values are residues in [0, p).  An
+extension element starts from its code sum(b_i Q^i) over its base-field raw
+coefficients b_i, Q the order of the base: up to ZECH_MAX_ORDER the raw value
+is the Zech logarithm of the code, from tables built with polynomial products
+modulo the modulus on the first use of the field's ``ops``; above it the raw
+value is the code itself, and the kernels run the base field's kernels on
+whole digit planes.  So every finite field's raw values are ints in
+[0, order), and QQ is the one field whose raw values are its elements.  Its
+scalar primitives are the elements' arithmetic, but the matrix product
 (``matmul``), row scalings and updates (``scale``/``axpy``), the
 characteristic polynomial (``linalg.charpoly``) and row reduction
 (``linalg._reduce``, fraction-free) compute on integer numerators over a
 common denominator and build one ``Fraction`` per result.  Only
 ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
-Extension-field elements never touch their field's ``ops``: at every order a product is a
-polynomial product reduced modulo the modulus and an inverse an extended gcd
-with it, so the elements are an independent reference for the tables.
+Extension-field elements never touch their field's ``ops``: at every order a
+product is a polynomial product reduced modulo the modulus and an inverse an
+extended gcd with it, so the elements are an independent reference for the
+tables and the coefficient kernels.  (``CoeffOps.inv`` is the one primitive
+that goes through the elements.)
 """
 
 from __future__ import annotations
@@ -106,7 +112,12 @@ def is_prime(n: int) -> bool:
 # tuple of row tuples of the dots of each row with each column, the one
 # kernel of a matrix product.
 
-ZECH_MAX_ORDER = 1 << 16
+# Building the Zech tables of a field takes time linear in its order (thread
+# time, one build each): F_{3^3} 0.13 ms, F_{9^2} 0.29 ms, F_{5^3} 0.33 ms,
+# F_{9^3} 2.46 ms, F_{101^2} 13.9 ms.  Descent builds a new field for every
+# nonlinear factor of every instance, so above this order the coefficient
+# codes of CoeffOps, which need no tables, are cheaper over a whole instance.
+ZECH_MAX_ORDER = 1 << 10
 
 
 class _Ops:
@@ -230,23 +241,6 @@ class RationalOps(_ElementOps):
         return tuple(out)
 
 
-class ObjectOps(_ElementOps):
-    """Extension fields above ZECH_MAX_ORDER."""
-
-    def encode(self, x):
-        if isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field):
-            return x
-        return self._lift(x)
-
-    def embed(self, b):
-        """Raw value of the base-field raw value b."""
-        return self.field.embed(self.field.base.ops.decode(b))
-
-    def coeffs(self, v):
-        """Base-field raw coefficients of the raw value v."""
-        return tuple(map(self.field.base.ops.encode, v.coeffs))
-
-
 class ResidueOps(_Ops):
     """F_p: raw values are the residues in [0, p)."""
 
@@ -287,7 +281,38 @@ class ResidueOps(_Ops):
         return sum(map(mul, xs, ys)) % self.p
 
 
-class ZechOps(_Ops):
+class _ExtOps(_Ops):
+    """Extension field F_Q[x]/(m) of degree k.  Both representations start
+    from the code sum(b_i Q^i) of an element's base-field raw coefficients
+    b_i in [0, Q); zero has code 0.  A subclass maps a code to its raw value
+    (``_of_code``) and back (``_code``)."""
+
+    zero = 0
+    one = 1
+
+    def __init__(self, field):
+        self.field = field
+        self.base_ops = field.base.ops
+        self.base_order = field.base.order
+        self.weights = tuple(self.base_order ** i for i in range(field.degree))
+
+    def encode(self, x):
+        if not (isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field)):
+            return self._lift(x)
+        enc = self.base_ops.encode
+        return self._of_code(sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)]))
+
+    def decode(self, v):
+        return ExtElement(self.field, tuple(map(self.base_ops.decode, self.coeffs(v))))
+
+    def coeffs(self, v):
+        """Base-field raw coefficients of the raw value v."""
+        code = self._code(v)
+        q = self.base_order
+        return [code // w % q for w in self.weights]
+
+
+class ZechOps(_ExtOps):
     """Extension field of order q <= ZECH_MAX_ORDER, in Zech logarithms.
 
     For a fixed primitive element g, the nonzero element g^k has raw value
@@ -296,33 +321,17 @@ class ZechOps(_Ops):
     inverse negates the logarithm.
     """
 
-    zero = 0
-    one = 1
-
     def __init__(self, field):
-        base = field.base
-        self.field = field
-        self.base_ops = base.ops
+        super().__init__(field)
         self.m = field.order - 1
         self.exp, self.log, self.zech, self.mn = _zech_tables(field._mod)
-        self.base_order = base.order
-        self.weights = tuple(base.order ** i for i in range(field.degree))
         self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
 
-    def encode(self, x):
-        if not (isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field)):
-            return self._lift(x)
-        enc = self.base_ops.encode
-        return self.log[sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)])]
+    def _of_code(self, code):
+        return self.log[code]
 
-    def decode(self, v):
-        return ExtElement(self.field, tuple(map(self.base_ops.decode, self.coeffs(v))))
-
-    def coeffs(self, v):
-        """Base-field raw coefficients of the raw value v."""
-        code = self.exp[v - 1] if v else 0
-        q = self.base_order
-        return tuple(code // w % q for w in self.weights)
+    def _code(self, v):
+        return self.exp[v - 1] if v else 0
 
     def embed(self, b):
         """Raw value of the base-field raw value b."""
@@ -379,6 +388,109 @@ class ZechOps(_Ops):
                 else:
                     acc = x
         return acc
+
+
+class CoeffOps(_ExtOps):
+    """Extension field of order above ZECH_MAX_ORDER: the raw value is the
+    code sum(b_i Q^i) itself, so equality is structural and no table is
+    built.  The kernels split a row into its k digit planes, the lists of its
+    entries' b_i, once per call and run the base field's own kernels on whole
+    planes: with c x^j = sum_s M[j][s] x^s modulo m, plane s of c * xs is the
+    sum over j of M[j][s] times plane j of xs, and a dot is the product of
+    the digit vectors sum_(i+j=s) dot(plane i, plane j), reduced modulo m.
+    Towers recurse through the base field's ``ops``."""
+
+    def __init__(self, field):
+        super().__init__(field)
+        # x^k = -(m_0 + ... + m_{k-1} x^{k-1}) modulo m
+        self.low = list(map(self.base_ops.neg, field._mod.raw[:-1]))
+
+    def _of_code(self, code):
+        return code
+
+    def _code(self, v):
+        return v
+
+    def embed(self, b):
+        """Raw value of the base-field raw value b."""
+        return b
+
+    def _join(self, digits):
+        """Code of a digit list of length k, or of 2k - 1 product digits,
+        which it reduces modulo m in place."""
+        k, axpy = len(self.weights), self.base_ops.axpy
+        for s in range(len(digits) - 1, k - 1, -1):
+            if digits[s]:
+                digits[s - k : s] = axpy(digits[s], self.low, digits[s - k : s])
+        return sum([d * w for d, w in zip(digits, self.weights)])
+
+    def _planes(self, xs):
+        q = self.base_order
+        return [[x // w % q for x in xs] for w in self.weights]
+
+    def _join_planes(self, planes):
+        q = self.base_order
+        acc = planes[-1]
+        for plane in planes[-2::-1]:
+            acc = [a * q + b for a, b in zip(acc, plane)]
+        return acc
+
+    def _times(self, c):
+        """Digit lists of c * x^j modulo m, j < k."""
+        axpy = self.base_ops.axpy
+        col = self.coeffs(c)
+        cols = [col]
+        for _ in range(len(self.weights) - 1):
+            top, col = col[-1], [0] + col[:-1]
+            if top:
+                col = axpy(top, self.low, col)
+            cols.append(col)
+        return cols
+
+    def _dot_planes(self, xs, ys):
+        dot, add = self.base_ops.dot, self.base_ops.add
+        digits = [0] * (2 * len(xs) - 1)
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                d = dot(x, y)
+                if d:
+                    digits[i + j] = add(digits[i + j], d)
+        return self._join(digits)
+
+    def add(self, a, b):
+        add = self.base_ops.add
+        return self._join(list(map(add, self.coeffs(a), self.coeffs(b))))
+
+    def neg(self, a):
+        return self._join(list(map(self.base_ops.neg, self.coeffs(a))))
+
+    def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def inv(self, a):
+        return self.encode(self.field._inv(self.decode(a)))
+
+    def axpy(self, c, xs, ys):
+        if not c:
+            return list(ys)
+        axpy = self.base_ops.axpy
+        out = self._planes(ys)
+        for plane, col in zip(self._planes(xs), self._times(c)):
+            for s, m in enumerate(col):
+                if m:
+                    out[s] = axpy(m, plane, out[s])
+        return self._join_planes(out)
+
+    def scale(self, c, xs):
+        return self.axpy(c, xs, [0] * len(xs))
+
+    def dot(self, xs, ys):
+        return self._dot_planes(self._planes(xs), self._planes(ys))
+
+    def matmul(self, rows, cols):
+        cols = [self._planes(c) for c in cols]
+        dot = self._dot_planes
+        return tuple(tuple([dot(r, c) for c in cols]) for r in map(self._planes, rows))
 
 
 def _zech_tables(mod):
@@ -698,7 +810,7 @@ class ExtensionField:
     @property
     def ops(self):
         if self._ops is None:
-            self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else ObjectOps(self)
+            self._ops = ZechOps(self) if self.order <= ZECH_MAX_ORDER else CoeffOps(self)
         return self._ops
 
     def _mul(self, a: ExtElement, b: ExtElement) -> ExtElement:

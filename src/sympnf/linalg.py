@@ -8,8 +8,10 @@ Subspaces are always stored with a reduced-row-echelon basis, so subspace
 equality is tuple equality and every downstream basis choice is canonical.
 
 The kernels compute on the field's raw values (``field.ops``: residues for
-F_p, Zech logarithms for small extension fields, the elements themselves
-otherwise).  Matrices and subspaces hold raw values, encoded when they are
+F_p, Zech logarithms for small extension fields, base-field coefficient
+codes for larger ones, the ``Fraction`` elements over QQ).  Scalar extension
+and restriction map raw values to raw values: ``ops.embed`` and
+``ops.coeffs``.  Matrices and subspaces hold raw values, encoded when they are
 built from elements (which checks that every entry lies in the field);
 ``Mat.rows`` and ``Subspace.basis`` are the elements, decoded on first read.
 A matrix product is one call of ``ops.matmul``; over QQ it, the

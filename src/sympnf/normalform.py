@@ -248,9 +248,10 @@ def cyclic_pair(space: SymplecticSpace, g: Mat, s: Subspace, use_recursion: bool
 
 
 def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
-    """gram(P, P) = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic."""
+    """gram(P, P) = -O_d for P = [u-chain; w-chain]: sigma-dual, both isotropic.
+    Compared as gram(P, P)^T = O_d, which holds exactly then and negates nothing."""
     p = Mat.from_raw(space.field, pair.u.raw + pair.w.raw)
-    if gram(p, p) != -SymplecticSpace(space.field, pair.d).omega:
+    if gram(p, p).transpose() != SymplecticSpace(space.field, pair.d).omega:
         raise InternalDescentFailureError("chain pair is not sigma-dual with isotropic chains")
 
 

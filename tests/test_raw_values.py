@@ -13,9 +13,9 @@ from sympnf.errors import MixedFieldsError, SingularMatrixError
 from sympnf.fields import (
     ZECH_MAX_ORDER,
     _ElementOps,
+    CoeffOps,
     ExtElement,
     ExtensionField,
-    ObjectOps,
     PrimeField,
     QQ,
     RationalOps,
@@ -64,19 +64,24 @@ def _element_of_code(field, code):
 
 
 F81 = ExtensionField(F9, _first_irreducible(F9, 2))
+F729 = ExtensionField(F9, _first_irreducible(F9, 3))
 F101_2 = make_field("extension", p=101, modulus=[-2, 0, 1])  # 2 is not a square mod 101
 F101_3 = ExtensionField(F101, _first_irreducible(F101, 3))
+# towers above ZECH_MAX_ORDER: coefficient codes over a Zech base and over a coefficient-code base
+F9_4 = ExtensionField(F9, _first_irreducible(F9, 4))
+F101_2_2 = ExtensionField(F101_2, _first_irreducible(F101_2, 2))
 
-FIELDS = [QQ, F3, F101, F9, F81, F101_2, F101_3]
-IDS = ["QQ", "F3", "F101", "F9", "F81", "F101^2", "F101^3"]
+FIELDS = [QQ, F3, F101, F9, F81, F101_2, F101_3, F9_4, F101_2_2]
+IDS = ["QQ", "F3", "F101", "F9", "F81", "F101^2", "F101^3", "F9^4", "F101^2^2"]
 
 
 def test_representation_follows_the_order():
     assert type(QQ.ops) is RationalOps
     assert type(F3.ops) is ResidueOps and type(F101.ops) is ResidueOps
-    assert all(type(f.ops) is ZechOps for f in (F9, F81, F101_2))
-    assert F101_2.order <= ZECH_MAX_ORDER < F101_3.order
-    assert type(F101_3.ops) is ObjectOps
+    assert all(type(f.ops) is ZechOps for f in (F9, F81, F729))
+    assert F729.order <= ZECH_MAX_ORDER < F101_2.order
+    assert all(type(f.ops) is CoeffOps for f in (F101_2, F101_3, F9_4, F101_2_2))
+    assert type(F9_4.base.ops) is ZechOps and type(F101_2_2.base.ops) is CoeffOps
 
 
 def elements(field):
@@ -95,14 +100,15 @@ def test_raw_scalars_agree_with_the_elements(field, data):
     ra, rb = ops.encode(a), ops.encode(b)
     assert ops.decode(ra) == a
     assert bool(ra) == bool(a)  # the raw zero is the only falsy raw value
+    if field is not QQ:
+        assert type(ra) is int and 0 <= ra < field.order
     assert ops.decode(ops.add(ra, rb)) == a + b  # coefficient-wise, independent of the tables
     assert ops.decode(ops.neg(ra)) == -a
     def mul(x, y):
         return ops.scale(x, [y])[0]
 
     assert ops.decode(mul(ra, rb)) == a * b
-    if isinstance(ops, ZechOps):
-        assert ops.mul(ra, rb) == mul(ra, rb)
+    assert ops.mul(ra, rb) == mul(ra, rb)
     if a:
         assert ops.decode(ops.inv(ra)) * a == field.one
     xs, ys = [ra, rb, ops.zero], [rb, ops.zero, ra]
@@ -244,7 +250,7 @@ def test_matmul_is_the_entrywise_dot(field, data):
     assert Mat.zeros(field, 2, 0) * Mat.zeros(field, 0, 3) == Mat.zeros(field, 2, 3)
 
 
-@pytest.mark.parametrize("field", [F9, F81, F101_2], ids=["F9", "F81", "F101^2"])
+@pytest.mark.parametrize("field", [F9, F81, F729], ids=["F9", "F81", "F729"])
 def test_zech_tables_round_trip(field):
     ops = field.ops
     m = field.order - 1
@@ -259,11 +265,12 @@ def test_zech_tables_round_trip(field):
 
 
 def test_equal_extensions_have_equal_raw_values():
-    twin = ExtensionField(F101_2.base, F101_2.modulus)
-    x = F101_2.gen * 3 + 7
-    y = twin.gen * 3 + 7
-    assert twin.ops.encode(x) == F101_2.ops.encode(y) == F101_2.ops.encode(x)
-    assert Mat(twin, [[y, twin.one]]) == Mat(F101_2, [[x, F101_2.one]])
+    for field in (F729, F101_2):  # in Zech logarithms and in coefficient codes
+        twin = ExtensionField(field.base, field.modulus)
+        x = field.gen * 3 + 7
+        y = twin.gen * 3 + 7
+        assert twin.ops.encode(x) == field.ops.encode(y) == field.ops.encode(x)
+        assert Mat(twin, [[y, twin.one]]) == Mat(field, [[x, field.one]])
 
 
 @st.composite
@@ -323,7 +330,7 @@ def test_inverse_and_cayley_hamilton(field, data):
     assert mat_poly_eval(charpoly(a), a).is_zero()
 
 
-@pytest.mark.parametrize("ext", [F9, F81, F101_2, F101_3], ids=["F9", "F81", "F101^2", "F101^3"])
+@pytest.mark.parametrize("ext", FIELDS[3:], ids=IDS[3:])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_descent_of_an_extended_kernel_is_the_kernel(ext, data):
