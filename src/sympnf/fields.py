@@ -18,13 +18,13 @@ is the Zech logarithm of the code, from tables built with polynomial products
 modulo the modulus on the first use of the field's ``ops``; above it the raw
 value is the code itself, and the kernels run the base field's kernels on
 whole digit planes.  So every finite field's raw values are ints in
-[0, order), and QQ is the one field whose raw values are its elements.  Its
-scalar primitives are the elements' arithmetic, but the matrix product
+[0, order).  A QQ raw value is the ``int`` of an integral rational and the
+``Fraction`` in lowest terms of any other (``rational``); the matrix product
 (``matmul``), row scalings and updates (``scale``/``axpy``), the
 characteristic polynomial (``linalg.charpoly``) and row reduction
 (``linalg._reduce``, fraction-free) compute on integer numerators over a
-common denominator and build one ``Fraction`` per result.  Only
-``ExtensionField.ops`` reads ZECH_MAX_ORDER.
+common denominator and build a ``Fraction`` only for a result that is not
+an integer.  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
 Extension-field elements never touch their field's ``ops``: at every order a
 product is a polynomial product reduced modulo the modulus and an inverse an
@@ -141,54 +141,55 @@ class _Ops:
         return tuple(tuple([dot(r, c) for c in cols]) for r in rows)
 
 
-class _ElementOps(_Ops):
-    """Raw values are the elements themselves; the scalar primitives are the
-    elements' own arithmetic."""
+def rational(n: int, d: int):
+    """The QQ raw value of n/d, for ints n and d != 0: the int when d divides
+    n, else the ``Fraction`` in lowest terms."""
+    if d == 1:
+        return n
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
+class RationalOps(_Ops):
+    """QQ: an integral raw value is a Python ``int`` and any other one the
+    ``Fraction`` in lowest terms, so an integral entry builds no
+    ``Fraction``; ints and Fractions compare and hash equal, and both have
+    ``numerator`` and ``denominator``.  ``decode`` always gives the
+    ``Fraction`` element.  Products, scalings and row updates compute on
+    integer numerators and denominators and give one raw value per result
+    through ``rational``."""
+
+    zero = 0
+    one = 1
 
     def __init__(self, field):
         self.field = field
-        self.zero = field.zero
-        self.one = field.one
-
-    def decode(self, v):
-        return v
-
-    def decode_rows(self, raw):
-        return raw
-
-    def add(self, a, b):
-        return a + b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def inv(self, a):
-        return self.one / a
-
-    def scale(self, c, xs):
-        return [x * c for x in xs]
-
-    def axpy(self, c, xs, ys):
-        return [c * x + y if x else y for x, y in zip(xs, ys)]
-
-    def dot(self, xs, ys):
-        acc = self.zero
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = acc + x * y
-        return acc
-
-
-class RationalOps(_ElementOps):
-    """QQ: raw values are the canonical ``Fraction`` elements, never bare
-    ints.  Products, scalings and row updates compute on their integer
-    numerators and denominators and build one ``Fraction`` per result."""
 
     def encode(self, x):
-        return x if isinstance(x, Fraction) else self._lift(x)
+        if isinstance(x, Fraction):
+            return x.numerator if x.denominator == 1 else x
+        return self._lift(x)
+
+    @staticmethod
+    def decode(v):
+        return v if type(v) is Fraction else Fraction(v)
+
+    @staticmethod
+    def add(a, b):
+        s = a + b
+        return s.numerator if s.denominator == 1 else s
+
+    @staticmethod
+    def neg(a):
+        return -a
+
+    @staticmethod
+    def mul(a, b):
+        return rational(a.numerator * b.numerator, a.denominator * b.denominator)
+
+    @staticmethod
+    def inv(a):
+        return rational(a.denominator, a.numerator)
 
     @staticmethod
     def clear(xs):
@@ -204,7 +205,7 @@ class RationalOps(_ElementOps):
         n, d = c.numerator, c.denominator
         if d == 1 and n in (1, -1):  # a unit: no gcd at all
             return list(xs) if n == 1 else [-x for x in xs]
-        return [Fraction(x.numerator * n, x.denominator * d) for x in xs]
+        return [rational(x.numerator * n, x.denominator * d) for x in xs]
 
     def axpy(self, c, xs, ys):
         cn, cd = c.numerator, c.denominator
@@ -223,21 +224,20 @@ class RationalOps(_ElementOps):
                         g = gcd(d, yd)
                         n = n * (yd // g) + yn * (d // g)
                         d = d // g * yd
-                y = Fraction(n, d)
+                y = rational(n, d)
             out.append(y)
         return out
 
+    def dot(self, xs, ys):
+        return self.matmul((xs,), (ys,))[0][0]
+
     def matmul(self, rows, cols):
-        clear, zero = self.clear, self.zero
+        clear = self.clear
         cols = [clear(c) for c in cols]
         out = []
         for r in rows:
             r, dr = clear(r)
-            row = []
-            for c, dc in cols:
-                s = sum(map(mul, r, c))
-                row.append(Fraction(s, dr * dc) if s else zero)
-            out.append(tuple(row))
+            out.append(tuple([rational(sum(map(mul, r, c)), dr * dc) for c, dc in cols]))
         return tuple(out)
 
 

@@ -9,21 +9,21 @@ equality is tuple equality and every downstream basis choice is canonical.
 
 The kernels compute on the field's raw values (``field.ops``: residues for
 F_p, Zech logarithms for small extension fields, base-field coefficient
-codes for larger ones, the ``Fraction`` elements over QQ).  Scalar extension
-and restriction map raw values to raw values: ``ops.embed`` and
-``ops.coeffs``.  Matrices and subspaces hold raw values, encoded when they are
-built from elements (which checks that every entry lies in the field);
-``Mat.rows`` and ``Subspace.basis`` are the elements, decoded on first read.
-A matrix product is one call of ``ops.matmul``; over QQ it, the
-characteristic polynomial and row reduction (fraction-free) compute on
-integers over common denominators.
+codes for larger ones, over QQ the ``int`` of an integral value and the
+reduced ``Fraction`` of any other).  Scalar extension and restriction map
+raw values to raw values: ``ops.embed`` and ``ops.coeffs``.  Matrices and
+subspaces hold raw values, encoded when they are built from elements (which
+checks that every entry lies in the field); ``Mat.rows`` and
+``Subspace.basis`` are the elements, decoded on first read.  A matrix
+product is one call of ``ops.matmul``; over QQ it, the characteristic
+polynomial and row reduction (fraction-free) compute on integers over
+common denominators.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from operator import mul, neg
 
@@ -36,7 +36,7 @@ from .errors import (
     NotSquareError,
     SingularMatrixError,
 )
-from .fields import ExtensionField, RationalOps
+from .fields import ExtensionField, RationalOps, rational
 from .poly import Poly, power
 
 __all__ = [
@@ -200,12 +200,12 @@ def _reduce(ops, rows, width):
     which scales it and leaves the RREF alone.  With p the pivot, each other
     row r with c = r[col] != 0 becomes p*r - c*prow over the gcd of its
     entries, a primitive integer multiple of the row the field loop holds; at
-    the end each pivot row is read off over its pivot entry, one ``Fraction``
-    per entry.  Rows below the rank stay nonzero multiples of the field
-    loop's.  Bareiss's exact division by the previous pivot instead (SymPy's
-    ``ddm_irref_den``) keeps whole minors of the cleared rows: on a - lambda
-    for a self-adjoint 48 x 48 a with 126-bit entries they reach 4,807 bits,
-    where the primitive rows stay below 660.
+    the end each pivot row is read off over its pivot entry, one raw value
+    per entry (``fields.rational``).  Rows below the rank stay nonzero
+    multiples of the field loop's.  Bareiss's exact division by the previous
+    pivot instead (SymPy's ``ddm_irref_den``) keeps whole minors of the
+    cleared rows: on a - lambda for a self-adjoint 48 x 48 a with 126-bit
+    entries they reach 4,807 bits, where the primitive rows stay below 660.
     """
     n = len(rows)
     pivots = []
@@ -234,9 +234,8 @@ def _reduce(ops, rows, width):
             rank += 1
             if rank == n:
                 break
-        zero = ops.zero
         dens = [r[col] for r, col in zip(rows, pivots)] + [1] * (n - rank)
-        rows[:] = [[Fraction(x, d) if x else zero for x in r] for r, d in zip(rows, dens)]
+        rows[:] = [[rational(x, d) for x in r] for r, d in zip(rows, dens)]
         return pivots
     scale, axpy, neg, inv = ops.scale, ops.axpy, ops.neg, ops.inv
     for col in range(width):
@@ -444,7 +443,7 @@ def charpoly(a: Mat) -> Poly:
         return Poly.from_raw(field, _berkowitz(a.raw, ops.one, ops.neg, ops.dot)[::-1])
     ints, den = ops.clear([x for r in a.raw for x in r])
     coeffs = _berkowitz([ints[i : i + n] for i in range(0, n * n, n)], 1, neg, _int_dot)
-    return Poly.from_raw(field, [Fraction(c, den**k) for k, c in enumerate(coeffs)][::-1])
+    return Poly.from_raw(field, [rational(c, den**k) for k, c in enumerate(coeffs)][::-1])
 
 
 def _int_dot(xs, ys):
@@ -478,14 +477,18 @@ def mat_poly_eval(p: Poly, a: Mat) -> Mat:
         raise NotSquareError("polynomial evaluation needs a square matrix")
     if p.field != a.field:
         raise MixedFieldsError("polynomial and matrix over different fields")
-    field = a.field
-    add = field.ops.add
-    acc = Mat.zeros(field, a.nrows, a.ncols)
+    acc = Mat.zeros(a.field, a.nrows, a.ncols)
     for c in reversed(p.raw):
         acc = acc * a
         if c:
-            acc = Mat.from_raw(field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(acc.raw)))
+            acc = _plus_diagonal(acc, c)
     return acc
+
+
+def _plus_diagonal(m: Mat, c) -> Mat:
+    """m + c I for a square m and the raw scalar c: only the diagonal changes."""
+    add = m.field.ops.add
+    return Mat.from_raw(m.field, tuple(r[:i] + (add(r[i], c),) + r[i + 1 :] for i, r in enumerate(m.raw)), m.ncols)
 
 
 def restrict_operator(a: Mat, s: Subspace) -> Mat:

@@ -49,8 +49,9 @@ from .linalg import (
     restrict_operator,
     restrict_scalars,
     solve,
+    _plus_diagonal,
 )
-from .poly import Factorization, Poly, factor, multi_bezout
+from .poly import Factorization, Poly, factor, monic_square_root, multi_bezout
 from .symplectic import (
     SymplecticSpace,
     _darboux_columns,
@@ -143,10 +144,23 @@ class VerificationReport:
 
 
 def _self_adjoint_factorization(space: SymplecticSpace, a: Mat, seed: int) -> Factorization:
-    """factor(charpoly(a)), after refusing a that is not self-adjoint."""
+    """factor(charpoly(a)), after refusing a that is not self-adjoint.
+
+    O a is skew-symmetric, so charpoly(a) = det(tO - Oa) is the square of a
+    Pfaffian, charpoly(B) for a = diag(B, B^T): only its monic square root
+    is factored, and every multiplicity doubled.  A factorization is unique
+    and sorted, so this is factor(charpoly(a)) itself."""
     if not is_self_adjoint(space, a):
         raise NotSelfAdjointError("operator is not self-adjoint")
-    return factor(charpoly(a), seed)
+    half = monic_square_root(charpoly(a))
+    if half is None:
+        raise InternalDescentFailureError("characteristic polynomial of a self-adjoint operator is not a square")
+    fac = factor(half, seed)
+    return Factorization(
+        fac.unit,
+        tuple((p, 2 * m) for p, m in fac.factors),
+        tuple((p, 2 * m) for p, m in fac.unresolved),
+    )
 
 
 def _roots(fac: Factorization):
@@ -160,7 +174,11 @@ def _primary_kernel(g: Mat, m: int) -> Subspace:
     """The primary component ker g^(m/2) of g = p(a), for a self-adjoint and
     p irreducible of multiplicity m in charpoly(a).  a is similar to
     diag(B, B^T), and B and B^T share their elementary divisors, so each
-    p^h of a occurs twice and h <= m/2: the full power m only costs more."""
+    p^h of a occurs twice and h <= m/2: the full power m only costs more.
+    When m is the whole dimension 2n, so is the component: its RREF basis is
+    the identity, and no power or kernel is computed."""
+    if m == g.nrows:
+        return Subspace.from_raw(g.field, m, Mat.identity(g.field, m).raw)
     return kernel(g ** (m // 2))
 
 
@@ -280,7 +298,8 @@ def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace) -> list[Cycli
 def _eigen_chains(space: SymplecticSpace, a: Mat, lam, m: int) -> list[CyclicPair]:
     """Cyclic pairs of g = a - lam on the generalized eigenspace of an
     eigenvalue lam of multiplicity m in charpoly(a), a self-adjoint."""
-    g = a - Mat.identity(space.field, space.dim) * lam
+    ops = space.field.ops
+    g = _plus_diagonal(a, ops.neg(ops.encode(lam)))
     return _nilpotent_chains(space, g, _primary_kernel(g, m))
 
 

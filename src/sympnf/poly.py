@@ -272,6 +272,27 @@ def multi_bezout(rs: list[Poly]) -> list[Poly]:
     return coeffs
 
 
+def monic_square_root(f: Poly) -> Poly | None:
+    """The monic g with g * g = f, for a monic f of even degree 2n, or None
+    when there is none.
+
+    Coefficient 2n - k of g * g is 2 g_(n-k) plus products of the k - 1
+    coefficients of g above it, so g is read off from the top in O(n^2)
+    (the characteristic is not 2); squaring it checks the answer."""
+    ops = f.field.ops
+    n, odd = divmod(f.degree, 2)
+    if odd or f.raw[-1] != ops.one:
+        return None
+    half = ops.inv(ops.add(ops.one, ops.one))
+    top = f.raw[::-1]
+    g = [ops.one]  # g[i] is the coefficient of t^(n-i)
+    for k in range(1, n + 1):
+        rest = ops.dot(g[1:k], g[k - 1 : 0 : -1])
+        g.append(ops.mul(ops.add(top[k], ops.neg(rest)), half))
+    root = Poly.from_raw(f.field, g[::-1])
+    return root if root * root == f else None
+
+
 # --- squarefree decomposition ----------------------------------------------
 
 

@@ -2,16 +2,22 @@
 certificates.  All numbers are strings so no consumer can lose precision;
 output is canonical (sorted keys, fixed separators) so identical inputs
 yield byte-identical files.
+
+Each field has one codec (``_codec``) between its JSON scalars and the raw
+values of its ``ops``: matrices are read into and written from raw values
+directly, with no element built per entry, and ``encode_scalar`` /
+``decode_scalar`` are the same codec composed with ``ops.encode`` /
+``ops.decode``.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
+from operator import mul
 
-from .errors import InstanceParseError
-from .fields import ExtElement, ExtensionField, PrimeField, QQ, RationalField, make_field
+from .errors import DimensionMismatchError, InstanceParseError
+from .fields import ExtensionField, PrimeField, QQ, RationalField, make_field, rational
 from .linalg import Mat
 from .normalform import NormalFormCertificate
 from .symplectic import SymplecticSpace
@@ -36,15 +42,6 @@ def dumps_canonical(obj) -> str:
 
 
 # --- scalars ----------------------------------------------------------------
-
-
-def encode_scalar(field, x):
-    if isinstance(field, RationalField):
-        return str(x)
-    if isinstance(field, PrimeField):
-        return str(x.value)
-    return [encode_scalar(field.base, c) for c in x.coeffs]
-
 
 # the forms encode_scalar writes; Fraction(str) also parses decimals and
 # exponents, and spends seconds on one like "1e10000000"
@@ -71,41 +68,73 @@ def _decode_ints(s) -> list[int]:
     return [_decode_int(x) for x in s]
 
 
-def decode_scalar(field, s):
+def _decode_rational(s):
+    m = _RATIONAL.fullmatch(str(s))
+    if m is None:
+        raise InstanceParseError(f"bad rational {s!r}: expected an integer or p/q")
+    num, den = m.groups()
     try:
-        if isinstance(field, RationalField):
-            m = _RATIONAL.fullmatch(str(s))
-            if m is None:
-                raise InstanceParseError(f"bad rational {s!r}: expected an integer or p/q")
-            num, den = m.groups()
-            return Fraction(int(num), int(den or 1))
-        if isinstance(field, PrimeField):
-            return field.from_int(_decode_int(s))
-        if isinstance(field, ExtensionField):
-            if not isinstance(s, list):
-                raise InstanceParseError(f"bad scalar encoding {s!r}: expected a coefficient list")
-            coeffs = [decode_scalar(field.base, c) for c in s]
-            if len(coeffs) != field.degree:
-                raise InstanceParseError(f"expected {field.degree} coefficients, got {len(coeffs)}")
-            return ExtElement(field, tuple(coeffs))
-    except InstanceParseError:
-        raise
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return int(num) if den is None else rational(int(num), int(den))
+    except (ValueError, ZeroDivisionError) as exc:
         raise InstanceParseError(f"bad scalar encoding {s!r}") from exc
-    raise InstanceParseError(f"unknown field {field!r}")
+
+
+def _codec(field):
+    """(decode, encode) between the JSON scalars of field and the raw values
+    of field.ops.  A scalar of QQ is "p/q" or an integer, one of F_p an
+    integer, and one of an extension the list of its coefficients in the
+    base field's own form."""
+    if isinstance(field, RationalField):
+        return _decode_rational, str
+    if isinstance(field, PrimeField):
+        p = field.p
+        return (lambda s: _decode_int(s) % p), str
+    if not isinstance(field, ExtensionField):
+        raise InstanceParseError(f"unknown field {field!r}")
+    ops = field.ops
+    base_decode, base_encode = _codec(field.base)
+    k, weights, of_code, coeffs = field.degree, ops.weights, ops._of_code, ops.coeffs
+
+    def decode(s):
+        if not isinstance(s, list):
+            raise InstanceParseError(f"bad scalar encoding {s!r}: expected a coefficient list")
+        digits = [base_decode(c) for c in s]
+        if len(digits) != k:
+            raise InstanceParseError(f"expected {k} coefficients, got {len(digits)}")
+        return of_code(sum(map(mul, digits, weights)))
+
+    def encode(v):
+        return [base_encode(c) for c in coeffs(v)]
+
+    return decode, encode
+
+
+def encode_scalar(field, x):
+    encode = _codec(field)[1]
+    return encode(field.ops.encode(x))
+
+
+def decode_scalar(field, s):
+    decode = _codec(field)[0]
+    return field.ops.decode(decode(s))
 
 
 # --- matrices ---------------------------------------------------------------
 
 
 def encode_matrix(m: Mat):
-    return [[encode_scalar(m.field, x) for x in row] for row in m.rows]
+    encode = _codec(m.field)[1]
+    return [list(map(encode, r)) for r in m.raw]
 
 
 def decode_matrix(field, rows) -> Mat:
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise InstanceParseError("matrix must be a list of rows")
-    return Mat(field, [[decode_scalar(field, x) for x in r] for r in rows])
+    decode = _codec(field)[0]
+    raw = tuple(tuple(map(decode, r)) for r in rows)
+    if any(len(r) != len(raw[0]) for r in raw):
+        raise DimensionMismatchError("matrix rows differ in length")
+    return Mat.from_raw(field, raw)
 
 
 def _decode_shaped(field, rows, nrows: int, ncols: int, name: str) -> Mat:

@@ -22,7 +22,7 @@ from sympnf.cli import (
     parse_block_spec,
     parse_field_flag,
 )
-from sympnf.errors import ExactAlgebraError, FieldTooLargeError, InstanceParseError
+from sympnf.errors import DimensionMismatchError, ExactAlgebraError, FieldTooLargeError, InstanceParseError
 from sympnf.fields import ExtensionField, PrimeField, QQ, make_field
 from sympnf.linalg import Mat
 from sympnf.normalform import companion_matrix, random_self_adjoint, symplectic_normal_form
@@ -41,6 +41,9 @@ from sympnf.serialize import (
     instance_to_json,
 )
 from sympnf.symplectic import SymplecticSpace
+
+from oracles import decode_element_matrix
+from test_raw_values import F81, F9_4, F101_2, elements
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -598,3 +601,84 @@ def test_check_and_verify_exit_0_to_3_on_mutated_files(fuzz_documents, tmp_path_
     out = str(tmp_path_factory.getbasetemp() / "fuzz-cert.json")
     for args in (["check", path], ["verify", path], ["normal-form", path, "-o", out]):
         assert main(args) in (EXIT_OK, EXIT_PREDICATE_FALSE, EXIT_UNSUPPORTED, EXIT_PARSE)
+
+
+# --- the raw-value codec against an element decoder ---------------------------
+
+CODEC_FIELDS = [QQ, F5, PrimeField(101), F9, F81, F101_2, F9_4]
+CODEC_IDS = ["QQ", "F5", "F101", "F9", "F81-tower", "F101^2", "F9^4-tower"]
+
+_MALFORMED_SCALARS = _FUZZ_VALUES + [
+    "1.5", "1e3", " 1", "1/-2", "+1", "1_000", "\u0661", "5/0", "-", "9" * 5000, "1/" + "9" * 5000,
+    [1.9, 0], ["1"] * 5, [["1", "0"]] * 2, "10",
+]
+
+
+def _outcome(decode, field, rows):
+    """The raw values and their types that decode reads, or the class of
+    what it raises."""
+    try:
+        m = decode(field, rows)
+    except Exception as exc:
+        return type(exc)
+    return m.raw, [type(x) for r in m.raw for x in r]
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=CODEC_IDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_matrix_codec_round_trips_raw_values(field, data):
+    """encode_matrix and decode_matrix read and write raw values: the round
+    trip through JSON text gives the same raw values, of the same types, as
+    the matrix and as the element decoder."""
+    r, c = data.draw(st.integers(0, 3)), data.draw(st.integers(1, 3))
+    m = Mat(field, [[data.draw(elements(field)) for _ in range(c)] for _ in range(r)])
+    rows = json.loads(json.dumps(encode_matrix(m)))
+    expected = (m.raw, [type(x) for row in m.raw for x in row])
+    assert _outcome(decode_matrix, field, rows) == expected == _outcome(decode_element_matrix, field, rows)
+
+
+@pytest.mark.parametrize("field", CODEC_FIELDS, ids=CODEC_IDS)
+def test_matrix_codec_refuses_what_the_element_decoder_refuses(field):
+    """Each malformed scalar, in place of an entry or of one of its
+    coefficients, and a ragged row raise the class the element decoder does."""
+    rng = random.Random(5)
+    good = encode_matrix(Mat(field, [[field.random_element(rng) for _ in range(2)] for _ in range(2)]))
+    cases = [[good[0], good[1][:1]]]  # ragged
+    for bad in _MALFORMED_SCALARS:
+        rows = copy.deepcopy(good)
+        rows[1][0] = copy.deepcopy(bad)
+        cases.append(rows)
+        if isinstance(field, ExtensionField):
+            rows = copy.deepcopy(good)
+            rows[0][1][-1] = copy.deepcopy(bad)
+            cases.append(rows)
+    for rows in cases:
+        want = _outcome(decode_element_matrix, field, rows)
+        assert _outcome(decode_matrix, field, rows) == want, rows
+    assert _outcome(decode_matrix, field, cases[0]) is DimensionMismatchError
+
+
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_matrix_codec_agrees_with_the_element_decoder_on_mutated_rows(field, data):
+    """The fuzz of the CLI on a matrix alone: replace, delete or append
+    values anywhere in it; both decoders read the same raw values or raise
+    the same class."""
+    rng = random.Random(data.draw(st.integers(0, 99), label="seed"))
+    rows = encode_matrix(Mat(field, [[field.random_element(rng) for _ in range(2)] for _ in range(2)]))
+    values = _fuzz_value(rows)  # fragments of the matrix before any mutation
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        target = data.draw(st.sampled_from([c for c in _containers(rows) if isinstance(c, list)]), label="list")
+        op = data.draw(st.sampled_from(["replace", "delete", "append"]), label="op")
+        value = data.draw(values, label="value")
+        if op == "append" or not target:
+            target.append(value)
+        else:
+            i = data.draw(st.integers(0, len(target) - 1), label="index")
+            if op == "delete":
+                del target[i]
+            else:
+                target[i] = value
+    assert _outcome(decode_matrix, field, rows) == _outcome(decode_element_matrix, field, rows)

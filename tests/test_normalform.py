@@ -128,6 +128,31 @@ def test_half_the_multiplicity_kills_every_primary_component(data):
         assert comp.basis.dim == p.degree * m
 
 
+F101 = PrimeField(101)
+# an irreducible quadratic over each field: 2 is not a square in QQ or mod 101
+HALF_QUADRATICS = {QQ: Poly(QQ, [-2, 0, 1]), F101: Poly(F101, [-2, 0, 1]), **QUADRATICS}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_factorization_of_the_half_is_that_of_charpoly(data):
+    """charpoly(A) = charpoly(B)^2 for self-adjoint A: its monic square root,
+    factored with every multiplicity doubled, is factor(charpoly(A))."""
+    field = data.draw(st.sampled_from([QQ, F5, F101, F9]), label="field")
+    spec = []
+    for _ in range(data.draw(st.integers(1, 3), label="blocks")):
+        sizes = tuple(data.draw(st.lists(st.integers(1, 2), min_size=1, max_size=2), label="sizes"))
+        if data.draw(st.booleans(), label="companion"):
+            spec.append(("companion", HALF_QUADRATICS[field], sizes))
+        else:
+            spec.append(("jordan", field.from_int(data.draw(st.integers(-3, 3), label="lam")), sizes))
+    spec = normalize_block_spec(field, spec)
+    sp = SymplecticSpace(field, block_spec_dimension(spec))
+    a = random_self_adjoint(sp, random.Random(data.draw(st.integers(0, 2**16), label="seed")), spec)
+    seed = data.draw(st.integers(0, 9), label="factor seed")
+    assert nf._self_adjoint_factorization(sp, a, seed) == factor(charpoly(a), seed)
+
+
 @pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
 def test_restrict_operator_reads_coordinates_at_the_pivots(field, monkeypatch):
     """On every primary component s, restrict_operator(a, s) is the matrix

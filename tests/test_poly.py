@@ -16,6 +16,7 @@ from sympnf.poly import (
     Poly,
     factor,
     is_irreducible,
+    monic_square_root,
     multi_bezout,
     poly_gcd,
     poly_xgcd,
@@ -474,3 +475,18 @@ def test_is_irreducible_is_a_single_factor_of_factor(case):
     assert is_irreducible(f) == single
     if field in (F3, F5) and f.degree <= 6:
         assert is_irreducible(f) == (not _has_monic_divisor(f, f.degree // 2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(field=st.sampled_from([QQ, F5, F101, F9, F101_3]), data=st.data())
+def test_monic_square_root(field, data):
+    """The monic root of g * g is g for monic g.  g * g + r for a nonzero r
+    of degree below deg g has none: h * h - g * g = (h - g)(h + g) has
+    degree at least deg g for any monic h != g of degree deg g."""
+    deg = data.draw(st.integers(0, 5), label="deg")
+    g = data.draw(_poly_of_degree(field, deg), label="g").monic()
+    assert monic_square_root(g * g) == g
+    if deg:
+        low = data.draw(_poly_of_degree(field, data.draw(st.integers(0, deg - 1), label="low")), label="term")
+        assert monic_square_root(g * g + low) is None
+    assert monic_square_root(g * g * Poly.x(field)) is None  # odd degree
