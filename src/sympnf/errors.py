@@ -26,15 +26,11 @@ class FieldTooLargeError(ExactAlgebraError, ValueError):
 
 
 class RationalFieldError(ExactAlgebraError, TypeError):
-    """Finite-field operation requested over the rationals."""
+    """Finite-field operation, such as descent, requested over the rationals."""
 
 
 class NotCoprimeError(ExactAlgebraError, ValueError):
     """Polynomials share a nontrivial common divisor."""
-
-
-class NotSquareError(ExactAlgebraError, ValueError):
-    """Square matrix required."""
 
 
 class InconsistentSystemError(ExactAlgebraError, ValueError):
@@ -54,7 +50,7 @@ class IncompatibleFieldsError(ExactAlgebraError, TypeError):
 
 
 class DimensionMismatchError(ExactAlgebraError, ValueError):
-    """Vector or matrix dimensions do not match the ambient space."""
+    """Dimensions do not match the ambient space, or a matrix is not square."""
 
 
 class NotLagrangianError(ExactAlgebraError, ValueError):
@@ -73,21 +69,12 @@ class NotSelfAdjointError(ExactAlgebraError, ValueError):
     """Operator fails the self-adjointness identity."""
 
 
-class UnresolvedFactorError(ExactAlgebraError, ValueError):
-    """Characteristic polynomial has an irreducible factor the base field
-    cannot split and the pipeline cannot descend."""
-
-
 class EigenvaluesNotInFieldError(ExactAlgebraError, ValueError):
     """Splitting path invoked with eigenvalues outside the base field."""
 
 
-class NotFiniteFieldError(ExactAlgebraError, TypeError):
-    """Descent path invoked over an infinite field."""
-
-
 class InternalDescentFailureError(ExactAlgebraError, AssertionError):
-    """Dimension bookkeeping broke during descent; indicates a bug."""
+    """A computed result failed its own check; indicates a bug."""
 
 
 class UnsupportedFieldPathError(ExactAlgebraError, ValueError):

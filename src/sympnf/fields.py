@@ -285,7 +285,8 @@ class _ExtOps(_Ops):
     """Extension field F_Q[x]/(m) of degree k.  Both representations start
     from the code sum(b_i Q^i) of an element's base-field raw coefficients
     b_i in [0, Q); zero has code 0.  A subclass maps a code to its raw value
-    (``_of_code``) and back (``_code``)."""
+    (``_of_code``) and back (``_code``); ``from_coeffs`` and ``coeffs`` go
+    between raw values and base-field raw coefficients."""
 
     zero = 0
     one = 1
@@ -299,11 +300,14 @@ class _ExtOps(_Ops):
     def encode(self, x):
         if not (isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field)):
             return self._lift(x)
-        enc = self.base_ops.encode
-        return self._of_code(sum([enc(c) * w for c, w in zip(x.coeffs, self.weights)]))
+        return self.from_coeffs(list(map(self.base_ops.encode, x.coeffs)))
 
     def decode(self, v):
         return ExtElement(self.field, tuple(map(self.base_ops.decode, self.coeffs(v))))
+
+    def from_coeffs(self, digits):
+        """Raw value of the base-field raw coefficients digits, lowest first."""
+        return self._of_code(sum(map(mul, digits, self.weights)))
 
     def coeffs(self, v):
         """Base-field raw coefficients of the raw value v."""
@@ -422,7 +426,7 @@ class CoeffOps(_ExtOps):
         for s in range(len(digits) - 1, k - 1, -1):
             if digits[s]:
                 digits[s - k : s] = axpy(digits[s], self.low, digits[s - k : s])
-        return sum([d * w for d, w in zip(digits, self.weights)])
+        return self.from_coeffs(digits)
 
     def _planes(self, xs):
         q = self.base_order

@@ -33,7 +33,6 @@ from .errors import (
     InconsistentSystemError,
     MixedFieldsError,
     NotInvariantError,
-    NotSquareError,
     SingularMatrixError,
 )
 from .fields import ExtensionField, RationalOps, rational
@@ -168,7 +167,7 @@ class Mat:
 
     def __pow__(self, e: int):
         if self.nrows != self.ncols:
-            raise NotSquareError("matrix power needs a square matrix")
+            raise DimensionMismatchError("matrix power needs a square matrix")
         return power(self, e, Mat.identity(self.field, self.nrows))
 
     def is_zero(self):
@@ -315,7 +314,7 @@ def inverse(a: Mat) -> Mat:
     pivot lies in a."""
     n = a.nrows
     if n != a.ncols:
-        raise NotSquareError("inverse needs a square matrix")
+        raise DimensionMismatchError("inverse needs a square matrix")
     res = rref(_augmented(a, _identity_raw(a.field.ops, n)))
     if n and res.pivots[-1] >= n:
         raise SingularMatrixError("matrix is singular")
@@ -331,13 +330,15 @@ class Subspace:
     __slots__ = ("field", "ambient_dim", "raw", "_basis", "_pivots")
 
     @classmethod
-    def from_raw(cls, field, ambient_dim, raw):
+    def from_raw(cls, field, ambient_dim, raw, pivots):
+        """Subspace with the RREF basis rows raw and their pivot columns
+        pivots, both as the reduction that found them gives them."""
         s = cls.__new__(cls)
         s.field = field
         s.ambient_dim = ambient_dim
         s.raw = raw
         s._basis = None
-        s._pivots = None
+        s._pivots = pivots
         return s
 
     @property
@@ -357,9 +358,9 @@ class Subspace:
     @classmethod
     def _span(cls, field, ambient_dim, raw_vectors) -> "Subspace":
         if not raw_vectors:
-            return cls.from_raw(field, ambient_dim, ())
+            return cls.from_raw(field, ambient_dim, (), ())
         res = rref(Mat.from_raw(field, tuple(raw_vectors)))
-        return cls.from_raw(field, ambient_dim, res.rref.raw[: res.rank])
+        return cls.from_raw(field, ambient_dim, res.rref.raw[: res.rank], res.pivots)
 
     @property
     def dim(self):
@@ -371,16 +372,10 @@ class Subspace:
     def basis_matrix(self) -> Mat:
         return Mat.from_raw(self.field, self.raw, self.ambient_dim)
 
-    def _pivot_cols(self):
-        """The pivot column of each basis row, computed on first use."""
-        if self._pivots is None:
-            self._pivots = tuple(next(j for j, x in enumerate(r) if x) for r in self.raw)
-        return self._pivots
-
     def _contains_raw(self, v) -> bool:
         ops = self.field.ops
         axpy, neg = ops.axpy, ops.neg
-        for row, piv in zip(self.raw, self._pivot_cols()):
+        for row, piv in zip(self.raw, self._pivots):
             c = v[piv]
             if c:
                 v = axpy(neg(c), row, v)
@@ -433,7 +428,7 @@ def charpoly(a: Mat) -> Poly:
     is D^k times that of det(tI - a).
     """
     if a.nrows != a.ncols:
-        raise NotSquareError("characteristic polynomial needs a square matrix")
+        raise DimensionMismatchError("characteristic polynomial needs a square matrix")
     field = a.field
     n = a.nrows
     if n == 0:
@@ -472,13 +467,16 @@ def _berkowitz(rows, one, neg, dot):
 
 def mat_poly_eval(p: Poly, a: Mat) -> Mat:
     """Horner evaluation P(a): acc = acc * a + c * I over the coefficients c
-    of P, highest first, from acc = 0."""
+    of P below the leading one, highest first, from acc = lc(P) * I, so a
+    degree-d P costs d products."""
     if a.nrows != a.ncols:
-        raise NotSquareError("polynomial evaluation needs a square matrix")
+        raise DimensionMismatchError("polynomial evaluation needs a square matrix")
     if p.field != a.field:
         raise MixedFieldsError("polynomial and matrix over different fields")
     acc = Mat.zeros(a.field, a.nrows, a.ncols)
-    for c in reversed(p.raw):
+    if p.raw:
+        acc = _plus_diagonal(acc, p.raw[-1])
+    for c in reversed(p.raw[:-1]):
         acc = acc * a
         if c:
             acc = _plus_diagonal(acc, c)
@@ -501,7 +499,7 @@ def restrict_operator(a: Mat, s: Subspace) -> Mat:
     images = (s.basis_matrix() * a.transpose()).raw
     if not all(s._contains_raw(r) for r in images):
         raise NotInvariantError("subspace is not invariant under the operator")
-    return Mat.from_raw(a.field, tuple(tuple(r[p] for r in images) for p in s._pivot_cols()), s.dim)
+    return Mat.from_raw(a.field, tuple(tuple(r[p] for r in images) for p in s._pivots), s.dim)
 
 
 # --- scalar extension and restriction --------------------------------------

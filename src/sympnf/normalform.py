@@ -31,10 +31,9 @@ from .errors import (
     InternalDescentFailureError,
     InvalidCertificateError,
     MixedFieldsError,
-    NotFiniteFieldError,
     NotNilpotentError,
     NotSelfAdjointError,
-    UnresolvedFactorError,
+    RationalFieldError,
     UnsupportedFieldPathError,
 )
 from .fields import ExtensionField
@@ -106,14 +105,6 @@ class CyclicPair:
     w: Mat
 
     @property
-    def u_chain(self) -> tuple:
-        return self.u.rows
-
-    @property
-    def w_chain(self) -> tuple:
-        return self.w.rows
-
-    @property
     def d(self) -> int:
         return self.u.nrows
 
@@ -141,6 +132,8 @@ class VerificationReport:
 
 
 # --- primary decomposition --------------------------------------------------
+
+_OUT_OF_SCOPE = "rational input with a nonlinear irreducible factor is out of scope"
 
 
 def _self_adjoint_factorization(space: SymplecticSpace, a: Mat, seed: int) -> Factorization:
@@ -178,7 +171,7 @@ def _primary_kernel(g: Mat, m: int) -> Subspace:
     When m is the whole dimension 2n, so is the component: its RREF basis is
     the identity, and no power or kernel is computed."""
     if m == g.nrows:
-        return Subspace.from_raw(g.field, m, Mat.identity(g.field, m).raw)
+        return Subspace.from_raw(g.field, m, Mat.identity(g.field, m).raw, range(m))
     return kernel(g ** (m // 2))
 
 
@@ -187,7 +180,7 @@ def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list
     ordered by the canonical factor key."""
     fac = _self_adjoint_factorization(space, a, seed)
     if fac.unresolved:
-        raise UnresolvedFactorError("characteristic polynomial has an unresolved irreducible factor")
+        raise UnsupportedFieldPathError(_OUT_OF_SCOPE)
     comps = []
     total = 0
     for p, m in fac.factors:
@@ -395,7 +388,7 @@ def descent_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> tuple[
     """Galois-descent case over a finite field; B carries no canonical-form
     claim beyond C^-1 A C = diag(B, B^T)."""
     if space.field.kind == "rational":
-        raise NotFiniteFieldError("descent requires a finite base field")
+        raise RationalFieldError("descent requires a finite base field")
     # factor() is complete over a finite field, so nothing is left unresolved
     fac = _self_adjoint_factorization(space, a, seed)
     c, b = _descent_core(space, a, fac)
@@ -429,9 +422,7 @@ def symplectic_normal_form(space: SymplecticSpace, a: Mat, seed: int = 0) -> Nor
         c, b, spec = _split_core(space, a, roots)
         cert = NormalFormCertificate(space, a, c, b, "jordan", spec)
     elif space.field.kind == "rational":
-        raise UnsupportedFieldPathError(
-            "rational input with a nonlinear irreducible factor is out of scope"
-        )
+        raise UnsupportedFieldPathError(_OUT_OF_SCOPE)
     else:
         c, b = _descent_core(space, a, fac)
         cert = NormalFormCertificate(space, a, c, b, "descent", None)

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from .errors import (
     DivisionByZeroError,
+    InternalDescentFailureError,
     MixedFieldsError,
     NotCoprimeError,
     RationalFieldError,
@@ -518,5 +519,5 @@ def factor(f: Poly, seed: int = 0) -> Factorization:
     unresolved.sort(key=lambda fm: fm[0].sort_key())
     result = Factorization(unit, tuple(factors), tuple(unresolved))
     if result.product() != f:  # re-multiplication check is part of the contract
-        raise NotCoprimeError("factorization failed to reproduce its input")
+        raise InternalDescentFailureError("factorization failed to reproduce its input")
     return result

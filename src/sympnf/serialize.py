@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import re
-from operator import mul
 
 from .errors import DimensionMismatchError, InstanceParseError
 from .fields import ExtensionField, PrimeField, QQ, RationalField, make_field, rational
@@ -91,9 +90,8 @@ def _codec(field):
         return (lambda s: _decode_int(s) % p), str
     if not isinstance(field, ExtensionField):
         raise InstanceParseError(f"unknown field {field!r}")
-    ops = field.ops
     base_decode, base_encode = _codec(field.base)
-    k, weights, of_code, coeffs = field.degree, ops.weights, ops._of_code, ops.coeffs
+    k, from_coeffs, coeffs = field.degree, field.ops.from_coeffs, field.ops.coeffs
 
     def decode(s):
         if not isinstance(s, list):
@@ -101,7 +99,7 @@ def _codec(field):
         digits = [base_decode(c) for c in s]
         if len(digits) != k:
             raise InstanceParseError(f"expected {k} coefficients, got {len(digits)}")
-        return of_code(sum(map(mul, digits, weights)))
+        return from_coeffs(digits)
 
     def encode(v):
         return [base_encode(c) for c in coeffs(v)]

@@ -244,11 +244,11 @@ def test_acceptance_3_cyclic_chains(capsys):
                 for i2 in range(d):
                     for j in range(d):
                         want = one if i2 == j else zero
-                        assert sigma(pair.w_chain[i2], pair.u_chain[j]) == want
-                        assert sigma(pair.u_chain[i2], pair.u_chain[j]) == zero
-                        assert sigma(pair.w_chain[i2], pair.w_chain[j]) == zero
+                        assert sigma(pair.w.rows[i2], pair.u.rows[j]) == want
+                        assert sigma(pair.u.rows[i2], pair.u.rows[j]) == zero
+                        assert sigma(pair.w.rows[i2], pair.w.rows[j]) == zero
             # both variants satisfy identical post-conditions on the same chain top
-            assert pairs[0].u_chain == pairs[1].u_chain
+            assert pairs[0].u.rows == pairs[1].u.rows
             assert pairs[0].d == pairs[1].d
             count += 1
     assert count >= 100

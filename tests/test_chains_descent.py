@@ -72,10 +72,10 @@ def test_each_pair_splits_off_as_the_complement_would(field, data):
         pair = cyclic_pair(space, g, current)
         heights = [_height(g, b) for b in current.basis]
         assert pair.d == max(heights)
-        assert pair.u_chain[-1] == current.basis[heights.index(pair.d)]
-        assert all(matvec(g, hi) == lo for lo, hi in zip(pair.u_chain, pair.u_chain[1:]))
-        assert not any(matvec(g, pair.u_chain[0]))
-        span = Subspace.from_vectors(field, space.dim, pair.u_chain + pair.w_chain)
+        assert pair.u.rows[-1] == current.basis[heights.index(pair.d)]
+        assert all(matvec(g, hi) == lo for lo, hi in zip(pair.u.rows, pair.u.rows[1:]))
+        assert not any(matvec(g, pair.u.rows[0]))
+        span = Subspace.from_vectors(field, space.dim, pair.u.rows + pair.w.rows)
         nxt = _split_off(space, current, pair)
         assert nxt == intersection(current, symplectic_complement(space, span))
         assert nxt.dim == current.dim - 2 * pair.d

@@ -1,7 +1,8 @@
 """The seed-0 certificates of the benchmark's sweep and qq_height workloads are
 byte-identical to the golden digests in ``perfbench/reference.json``, and
 descent certificates through splitting fields of order above
-``ZECH_MAX_ORDER`` are byte-identical to digests pinned here.
+``ZECH_MAX_ORDER`` and a QQ certificate with tall eigenvalues are
+byte-identical to digests pinned here.
 
 The corpus workload's seed 0 is the acceptance corpus, which
 ``test_acceptance.test_corpus_certificates_are_byte_identical`` pins.  The
@@ -12,6 +13,7 @@ its ``Loop.certificates`` hashes them.
 import hashlib
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -22,7 +24,7 @@ if str(PERFBENCH) not in sys.path:
 
 import run  # noqa: E402
 import workloads  # noqa: E402
-from sympnf.fields import ExtElement, PrimeField, make_field  # noqa: E402
+from sympnf.fields import QQ, ExtElement, PrimeField, make_field  # noqa: E402
 from sympnf.normalform import random_self_adjoint, symplectic_normal_form  # noqa: E402
 from sympnf.poly import Poly, is_irreducible  # noqa: E402
 from sympnf.serialize import certificate_to_json, dumps_canonical  # noqa: E402
@@ -76,3 +78,23 @@ def descent_certificate(field, n, spec, seed=5):
 def test_descent_certificates_match_the_pinned_digest(label, field, n, spec, digest):
     assert all(is_irreducible(head) for kind, head, _ in spec if kind == "companion")
     assert hashlib.sha256(descent_certificate(field, n, spec).encode()).hexdigest() == digest
+
+
+# n = 12 over QQ with four eigenvalues of 40-digit numerators and 20-digit
+# denominators: A has 333-bit entries, and nearly all of certify is the row
+# reduction of the powers of A - lambda in the primary kernels
+TALL = [
+    ("jordan", Fraction(4969873769721395566327578136623500286570, 17040034410502124773), (2,)),
+    ("jordan", Fraction(431407163637366081734118671986254337351, 7123665634883809538), (2,)),
+    ("jordan", Fraction(-1286772454997031806567925415856802284931, 27505533132395015659), (4, 1)),
+    ("jordan", Fraction(-7145099485209627921509024131950688159659, 13682589569667969572), (3,)),
+]
+
+
+def test_tall_eigenvalue_certificate_matches_the_pinned_digest():
+    space = SymplecticSpace(QQ, 12)
+    a = random_self_adjoint(space, random.Random(5), TALL)
+    cert = symplectic_normal_form(space, a, seed=5)
+    assert cert.case == "jordan"
+    text = dumps_canonical(certificate_to_json(cert))
+    assert hashlib.sha256(text.encode()).hexdigest() == "0a90e8000c0982b2dd74c1993ff902331500b9b0a3c2ea834e2b7d1c3429a463"

@@ -216,6 +216,39 @@ def test_mat_poly_eval_is_the_sum_of_powers(field):
         assert mat_poly_eval(Poly(field, coeffs), a) == expected
 
 
+@pytest.mark.parametrize("field", [QQ, F5, F9], ids=["QQ", "F5", "F9"])
+def test_mat_poly_eval_costs_one_product_per_degree(field, monkeypatch):
+    """Horner starts at the leading coefficient: a degree-d polynomial costs
+    d matrix products, a constant or the zero polynomial none."""
+    a = _random_mat(field, random.Random(97), 3)
+    assert mat_poly_eval(Poly.zero(field), a).is_zero()
+    product = Mat.__mul__
+    calls = []
+
+    def counted(x, y):
+        if isinstance(y, Mat):
+            calls.append(1)
+        return product(x, y)
+
+    monkeypatch.setattr(Mat, "__mul__", counted)
+    counts = []
+    for d in range(-1, 6):
+        calls.clear()
+        mat_poly_eval(Poly(field, [1] * (d + 1)), a)
+        counts.append(len(calls))
+    assert counts == [0, 0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "op",
+    [charpoly, inverse, lambda m: mat_poly_eval(Poly(F5, [1, 1]), m), lambda m: m ** 2],
+    ids=["charpoly", "inverse", "mat_poly_eval", "power"],
+)
+def test_a_matrix_that_is_not_square_is_refused(op):
+    with pytest.raises(DimensionMismatchError, match="square"):
+        op(Mat(F5, [[1, 2, 3], [4, 0, 1]]))
+
+
 class TestCharpoly:
     def test_nilpotent_block(self):
         assert charpoly(Mat(QQ, [[0, 1], [0, 0]])) == Poly(QQ, [0, 0, 1])

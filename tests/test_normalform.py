@@ -12,9 +12,9 @@ from sympnf.errors import (
     DimensionMismatchError,
     EigenvaluesNotInFieldError,
     InvalidCertificateError,
-    NotFiniteFieldError,
     NotNilpotentError,
     NotSelfAdjointError,
+    RationalFieldError,
     UnsupportedFieldPathError,
 )
 from sympnf.fields import PrimeField, QQ, ZechOps, make_field
@@ -286,16 +286,16 @@ class TestCyclicPair:
         g = Mat.block_diag(QQ, [n2, n2.transpose()])
         pair = cyclic_pair(sp, g, whole_space(QQ, 4))
         assert pair.d == 2
-        assert pair.u_chain == (_e(sp, 0), _e(sp, 1))
+        assert pair.u.rows == (_e(sp, 0), _e(sp, 1))
         minus_e3 = tuple(-x for x in _e(sp, 2))
         minus_e4 = tuple(-x for x in _e(sp, 3))
-        assert pair.w_chain == (minus_e3, minus_e4)
+        assert pair.w.rows == (minus_e3, minus_e4)
 
     def test_zero_operator(self):
         sp = SymplecticSpace(F5, 1)
         pair = cyclic_pair(sp, Mat.zeros(F5, 2, 2), whole_space(F5, 2))
         assert pair.d == 1
-        assert sigma(pair.w_chain[0], pair.u_chain[0]) == F5.one
+        assert sigma(pair.w.rows[0], pair.u.rows[0]) == F5.one
 
     def test_rejects_non_nilpotent(self):
         sp = SymplecticSpace(QQ, 1)
@@ -320,18 +320,17 @@ class TestCyclicPair:
             for i in range(d):
                 for j in range(d):
                     want = one if i == j else zero
-                    assert sigma(pair.w_chain[i], pair.u_chain[j]) == want
-                    assert sigma(pair.u_chain[i], pair.u_chain[j]) == zero
-                    assert sigma(pair.w_chain[i], pair.w_chain[j]) == zero
+                    assert sigma(pair.w.rows[i], pair.u.rows[j]) == want
+                    assert sigma(pair.u.rows[i], pair.u.rows[j]) == zero
+                    assert sigma(pair.w.rows[i], pair.w.rows[j]) == zero
             # chain structure: u_i = g(u_{i+1}), w_{i+1} = g(w_i)
             for i in range(d - 1):
-                assert matvec(a, pair.u_chain[i + 1]) == pair.u_chain[i]
-                assert matvec(a, pair.w_chain[i]) == pair.w_chain[i + 1]
+                assert matvec(a, pair.u.rows[i + 1]) == pair.u.rows[i]
+                assert matvec(a, pair.w.rows[i]) == pair.w.rows[i + 1]
 
     def test_chains_stay_raw_until_read(self, monkeypatch):
-        """The chains are Mats, one vector per row, and u_chain / w_chain read
-        their rows.  Over F_9 the only decodes are the dim(s) entries of the
-        one solution of the dual seed's system."""
+        """The chains are Mats, one vector per row.  Over F_9 the only decodes
+        are the dim(s) entries of the one solution of the dual seed's system."""
         sp = SymplecticSpace(F9, 3)
         a = _scrambled(sp, random.Random(239), [("jordan", F9.zero, (2, 1))])
         s = whole_space(F9, sp.dim)
@@ -342,7 +341,6 @@ class TestCyclicPair:
         assert len(calls) <= s.dim
         monkeypatch.undo()
         assert isinstance(pair.u, Mat) and isinstance(pair.w, Mat) and pair.u.nrows == pair.w.nrows == pair.d == 2
-        assert pair.u_chain == pair.u.rows and pair.w_chain == pair.w.rows
 
     def test_both_variants_agree_exactly(self):
         # with the canonical solve pinning free variables, both seed choices
@@ -353,7 +351,7 @@ class TestCyclicPair:
             a = _scrambled(sp, rng, [("jordan", F5.zero, (2,))])
             p1 = cyclic_pair(sp, a, whole_space(F5, 4), use_recursion=False)
             p2 = cyclic_pair(sp, a, whole_space(F5, 4), use_recursion=True)
-            assert p1.u_chain == p2.u_chain
+            assert p1.u.rows == p2.u.rows
             assert p1.d == p2.d
 
 
@@ -493,7 +491,7 @@ class TestDescentNormalForm:
 
     def test_rejects_rationals(self):
         sp = SymplecticSpace(QQ, 1)
-        with pytest.raises(NotFiniteFieldError):
+        with pytest.raises(RationalFieldError):
             descent_normal_form(sp, Mat.identity(QQ, 2))
 
 
@@ -518,11 +516,18 @@ class TestOrchestration:
         assert verify_certificate(cert).ok
 
     def test_rational_nonlinear_unsupported(self):
-        sp = SymplecticSpace(QQ, 2)
-        b = companion_matrix(Poly(QQ, [1, 0, 1]))
-        a = Mat.block_diag(QQ, [b, b.transpose()])
-        with pytest.raises(UnsupportedFieldPathError):
-            symplectic_normal_form(sp, a)
+        """An irreducible quadratic factor over QQ stops symplectic_normal_form
+        and primary_decomposition with one class and one message."""
+        for n, quadratic in [(2, [1, 0, 1]), (3, [-2, 0, 1])]:
+            sp = SymplecticSpace(QQ, n)
+            blocks = [companion_matrix(Poly(QQ, quadratic))] + [jordan_block(QQ, Fraction(3), 1)] * (n - 2)
+            b = Mat.block_diag(QQ, blocks)
+            a = Mat.block_diag(QQ, [b, b.transpose()])
+            with pytest.raises(UnsupportedFieldPathError) as certified:
+                symplectic_normal_form(sp, a)
+            with pytest.raises(UnsupportedFieldPathError) as decomposed:
+                primary_decomposition(sp, a)
+            assert str(decomposed.value) == str(certified.value)
 
     def test_rejects_non_self_adjoint(self):
         sp = SymplecticSpace(F5, 1)

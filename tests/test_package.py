@@ -1,7 +1,8 @@
 """The package imports itself only by relative imports, so a second copy of
 it loads under another name without reaching into the first (an in-process
 comparison of two versions relies on this).  No module imports a name it
-never reads, and the README's Python example runs as printed."""
+never reads, every exception class is raised somewhere, and the README's
+Python example runs as printed."""
 
 import ast
 import contextlib
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import sympnf
+from sympnf import errors
 
 SOURCES = sorted(Path(sympnf.__file__).parent.glob("*.py"))
 
@@ -54,6 +56,26 @@ MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 def test_every_imported_name_is_used(path):
     unused = sorted(_unused_imports(ast.parse(path.read_text(), str(path))))
     assert not unused, f"imported and never used: {unused}"
+
+
+def _raised_names(tree):
+    """Names of the classes that the raise statements of a module name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_exception_class_is_raised_and_none_is_an_alias():
+    """A class with no raise site, such as a second name for one failure,
+    cannot come back; ExactAlgebraError is the base that callers catch."""
+    classes = {
+        name: obj for name, obj in vars(errors).items() if isinstance(obj, type) and obj.__module__ == errors.__name__
+    }
+    assert all(obj.__name__ == name for name, obj in classes.items())
+    raised = {name for path in MODULES for name in _raised_names(ast.parse(path.read_text(), str(path)))}
+    assert sorted(set(classes) - raised) == ["ExactAlgebraError"]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
