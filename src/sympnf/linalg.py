@@ -399,10 +399,14 @@ class Subspace:
 
 def kernel(a: Mat) -> Subspace:
     """Canonical basis of the right null space of a."""
-    field = a.field
+    return _kernel_of(rref(a))
+
+
+def _kernel_of(res: RrefResult) -> Subspace:
+    """The right null space of res.source, read off its reduction res."""
+    field = res.rref.field
     ops = field.ops
-    res = rref(a)
-    m = a.ncols
+    m = res.rref.ncols
     pivots = set(res.pivots)
     vectors = []
     for fc in range(m):

@@ -5,10 +5,12 @@ seeded instance generation.
 
 Every primary component, in the decomposition and in both chain builders,
 is ker p(A)^(m/2) for a factor p of multiplicity m in charpoly(A): A is
-similar to diag(B, B^T), so each elementary divisor p^h occurs twice.
+similar to diag(B, B^T), so each elementary divisor p^h occurs twice.  It is
+read off the row spaces of the powers of p(A), with no power formed.
 
-A cyclic pair (u, w) is split off by the sigma-projection x -> x + sum
-sigma(x, w_i) u_i - sum sigma(x, u_i) w_i onto its sigma-complement.  Descent
+A cyclic pair (u, w) is split off as a Gram kernel: the vectors of the
+current subspace sigma-orthogonal to both chains, in the coordinates of its
+RREF basis, as symplectic_complement cuts a sigma-complement.  Descent
 restricts scalars: over F_q[t]/(p), the coefficient rows of the chains in the
 power basis span the base-field points of the Galois closure of their span.
 
@@ -47,7 +49,9 @@ from .linalg import (
     mat_poly_eval,
     restrict_operator,
     restrict_scalars,
+    rref,
     solve,
+    _kernel_of,
     _plus_diagonal,
 )
 from .poly import Factorization, Poly, factor, monic_square_root, multi_bezout
@@ -168,11 +172,22 @@ def _primary_kernel(g: Mat, m: int) -> Subspace:
     p irreducible of multiplicity m in charpoly(a).  a is similar to
     diag(B, B^T), and B and B^T share their elementary divisors, so each
     p^h of a occurs twice and h <= m/2: the full power m only costs more.
-    When m is the whole dimension 2n, so is the component: its RREF basis is
-    the identity, and no power or kernel is computed."""
+
+    No power of g is formed.  The nonzero rows N_j of the RREF of g^j span
+    the annihilator of ker g^j, and N_(j+1) is the RREF of N_j g, so each
+    step reduces a matrix of the height of a subspace, not of a power of g.
+    Once the rank stops falling, ker g^j is ker g^(m/2).  When m is the
+    whole dimension 2n, so is the component: its RREF basis is the
+    identity, and nothing is reduced."""
     if m == g.nrows:
         return Subspace.from_raw(g.field, m, Mat.identity(g.field, m).raw, range(m))
-    return kernel(g ** (m // 2))
+    res = rref(g)
+    for _ in range(m // 2 - 1):
+        nxt = rref(Mat.from_raw(g.field, res.rref.raw[: res.rank], g.ncols) * g)
+        if nxt.rank == res.rank:
+            break
+        res = nxt
+    return _kernel_of(res)
 
 
 def primary_decomposition(space: SymplecticSpace, a: Mat, seed: int = 0) -> list[PrimaryComponent]:
@@ -267,16 +282,21 @@ def _check_pair(space: SymplecticSpace, pair: CyclicPair) -> None:
 
 
 def _split_off(space: SymplecticSpace, current: Subspace, pair: CyclicPair) -> Subspace:
-    """current intersected with the sigma-complement of the pair, as the image
-    of x -> x + sum sigma(x, w_i) u_i - sum sigma(x, u_i) w_i."""
-    u, w = pair.u, pair.w
+    """current intersected with the sigma-complement of the pair: the vectors
+    c X, for X current's RREF basis, with c gram(X, P) = 0 for P the u-chain
+    over the w-chain.  c runs over the RREF basis of that kernel, and an RREF
+    coordinate row times X is an RREF row with its pivot at X's pivot for the
+    coordinate's pivot: a vector of current starts at a pivot column of X,
+    where X is a unit vector.  So nothing is reduced again."""
     x = current.basis_matrix()
-    proj = x + gram(x, w) * u - gram(x, u) * w
-    return Subspace._span(space.field, space.dim, proj.raw)
+    p = Mat.from_raw(space.field, pair.u.raw + pair.w.raw)
+    coords = kernel(gram(x, p).transpose())
+    rows = (coords.basis_matrix() * x).raw
+    return Subspace.from_raw(space.field, space.dim, rows, tuple(current._pivots[j] for j in coords._pivots))
 
 
 def _nilpotent_chains(space: SymplecticSpace, g: Mat, s: Subspace) -> list[CyclicPair]:
-    """Exhaust s by cyclic pairs, splitting each off by sigma-projection."""
+    """Exhaust s by cyclic pairs, splitting each off as a Gram kernel."""
     chains = []
     current = s
     while not current.is_zero():

@@ -18,6 +18,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DivisionByZeroError,
@@ -224,10 +225,76 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd; gcd(a, 0) = monic(a)."""
+    """Monic gcd; gcd(a, 0) = monic(a).
+
+    Over QQ, with a and b nonzero, the heuristic gcd of their primitive
+    integer forms comes first: Euclid's remainder sequence over Fraction
+    grows its coefficients, and runs only when the heuristic gives up."""
+    if a.field.kind == "rational" and a.raw and a._check(b).raw:
+        ops = a.field.ops
+        h = _heuristic_gcd(_primitive(ops.clear(a.raw)[0]), _primitive(ops.clear(b.raw)[0]))
+        if h is not None:
+            return Poly(a.field, [Fraction(c, h[-1]) for c in h])
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+def _primitive(ints):
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _heuristic_gcd(f, g):
+    """A gcd in Z[t] of the primitive integer polynomials f and g (nonzero,
+    coefficients low-to-high), or None when six evaluation points fail.
+
+    GCDHEU (Char, Geddes and Gonnet, 1989; the points are those of SymPy's
+    heuristicgcd): the integer gcd of f(x) and g(x), read in symmetric
+    base-x digits, gives a polynomial h, kept when its primitive part
+    divides f and g, which trial division in Z[t] decides.  It is then the
+    gcd d: d = pp(h) c with c(x) dividing the content of h, which is at
+    most x/2.  Every point exceeds 2 + 2 max |f_i / lc(f)| (or the same for
+    g), so |x - r| > x/2 for each root r of f (or g), and a nonconstant c,
+    whose roots are common roots, has |c(x)| > x/2."""
+    fn, gn = max(map(abs, f)), max(map(abs, g))
+    b = 2 * min(fn, gn) + 29
+    x = max(min(b, 99 * math.isqrt(b)), 2 * min(fn // abs(f[-1]), gn // abs(g[-1])) + 4)
+    for _ in range(6):
+        fx, gx = _eval_int(f, x), _eval_int(g, x)
+        if fx and gx:
+            digits, rest = [], math.gcd(fx, gx)
+            while rest:
+                c = rest % x
+                if c > x // 2:
+                    c -= x
+                digits.append(c)
+                rest = (rest - c) // x
+            h = _primitive(digits)
+            if _divides(h, f) and _divides(h, g):
+                return h
+        x = 73794 * x * math.isqrt(math.isqrt(x)) // 27011
+    return None
+
+
+def _eval_int(ints, x: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = acc * x + c
+    return acc
+
+
+def _divides(h, f) -> bool:
+    """Whether the primitive h divides f in Z[t], so in Q[t] (Gauss)."""
+    r = list(f)
+    dh, lc = len(h) - 1, h[-1]
+    for i in range(len(r) - 1 - dh, -1, -1):
+        q, m = divmod(r[i + dh], lc)
+        if m:
+            return False
+        if q:
+            r[i : i + dh + 1] = [x - q * y for x, y in zip(r[i : i + dh + 1], h)]
+    return not any(r[:dh])
 
 
 def poly_xgcd(a: Poly, b: Poly):
@@ -427,8 +494,6 @@ def _rational_roots(f: Poly) -> list:
     A prime is passed over only when it divides lc*disc(f), which is
     nonzero because f is squarefree, so the search for p ends.
     """
-    from fractions import Fraction
-
     from .fields import PrimeField, is_prime
 
     field = f.field

@@ -3,7 +3,8 @@
 Each is written from its definition, not from the library's code: a product
 and the form are element loops, membership compares dimensions of spans, and
 an intersection goes through annihilators, where the library splits a pair
-off by one sigma-projection (``normalform._split_off``).
+off by one Gram kernel in the coordinates of the current subspace
+(``normalform._split_off``).
 """
 
 import re

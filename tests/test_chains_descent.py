@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sympnf.fields import ExtElement, PrimeField, QQ, frobenius
-from sympnf.linalg import Mat, Subspace, extend_scalars, kernel, restrict_scalars
+from sympnf.linalg import Mat, Subspace, extend_scalars, kernel, restrict_scalars, rref
 import sympnf.normalform as nf
 from sympnf.normalform import (
     _nilpotent_chains,
@@ -78,6 +78,10 @@ def test_each_pair_splits_off_as_the_complement_would(field, data):
         span = Subspace.from_vectors(field, space.dim, pair.u.rows + pair.w.rows)
         nxt = _split_off(space, current, pair)
         assert nxt == intersection(current, symplectic_complement(space, span))
+        # the rows, their raw types and the pivots are those a fresh reduction finds
+        fresh = rref(nxt.basis_matrix())
+        assert fresh.rref.raw[: fresh.rank] == nxt.raw and fresh.pivots == nxt._pivots
+        assert [list(map(type, r)) for r in fresh.rref.raw[: fresh.rank]] == [list(map(type, r)) for r in nxt.raw]
         assert nxt.dim == current.dim - 2 * pair.d
         pairs.append(pair)
         current = nxt

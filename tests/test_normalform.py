@@ -177,22 +177,70 @@ def test_restrict_operator_reads_coordinates_at_the_pivots(field, monkeypatch):
         assert got == expected and not calls
 
 
+def _count_tower_reductions(monkeypatch):
+    """[m, reductions] per _primary_kernel call from here on, counting the
+    reductions of the powers' row spaces, not the one that puts the kernel
+    basis in RREF."""
+    counts = []
+    primary_kernel, reduce = nf._primary_kernel, nf.rref
+
+    def recorded(g, m):
+        counts.append([m, 0])
+        return primary_kernel(g, m)
+
+    def counted(x):
+        counts[-1][1] += 1
+        return reduce(x)
+
+    monkeypatch.setattr(nf, "_primary_kernel", recorded)
+    monkeypatch.setattr(nf, "rref", counted)
+    return counts
+
+
 def test_certify_raises_each_eigenvalue_to_half_its_multiplicity(monkeypatch):
     """Spec 1:[2,2]; 2:[1] over F_5 has multiplicities 8 and 2 in charpoly(A):
-    the chains run on ker (A - 1)^4 and ker (A - 2)^1."""
+    the chains run on ker (A - 1)^4 and ker (A - 2)^1, reached by at most 4
+    and 1 reductions, and no matrix power is formed.  The chains of A - 1 have
+    height 2, so its ranks stop falling at the third reduction."""
     sp = SymplecticSpace(F5, 5)
     a = random_self_adjoint(sp, random.Random(7), [("jordan", F5.one, (2, 2)), ("jordan", F5.from_int(2), (1,))])
-    power = Mat.__pow__
-    exponents = []
 
-    def recorded(m, e):
-        exponents.append(e)
-        return power(m, e)
+    def refused(m, e):
+        raise AssertionError("Mat.__pow__ called")
 
-    monkeypatch.setattr(Mat, "__pow__", recorded)
+    monkeypatch.setattr(Mat, "__pow__", refused)
+    counts = _count_tower_reductions(monkeypatch)
     cert = symplectic_normal_form(sp, a)
     assert cert.jordan_spec == ((F5.one, (2, 2)), (F5.from_int(2), (1,)))
-    assert exponents == [4, 1]
+    assert counts == [[8, 3], [2, 1]]
+
+
+@pytest.mark.parametrize(
+    "field, spec, counts",
+    [
+        (QQ, [("jordan", 2, (2, 1, 1)), ("jordan", 1, (1,))], [[8, 3], [2, 1]]),
+        (F5, [("companion", QUADRATICS[F5], (2, 1, 1)), ("jordan", 1, (1,))], [[2, 1], [8, 3]]),
+        (F9, [("companion", QUADRATICS[F9], (1, 1, 1))], [[6, 2]]),
+    ],
+    ids=["QQ", "F5", "F9"],
+)
+def test_the_nested_kernels_stop_where_the_ranks_pause(field, spec, counts, monkeypatch):
+    """Every primary component is ker p(A)^(m/2), reached through the row
+    spaces of the powers of p(A), which stop as soon as the rank does not
+    fall: before m/2 reductions for a factor whose chains are shorter than
+    m/2, nonlinear ones included.  Over F_9 p(A) = 0, and the ranks pause at
+    zero."""
+    spec = normalize_block_spec(field, spec)
+    sp = SymplecticSpace(field, block_spec_dimension(spec))
+    a = random_self_adjoint(sp, random.Random(5), spec)
+    got = _count_tower_reductions(monkeypatch)
+    comps = primary_decomposition(sp, a)
+    monkeypatch.undo()
+    assert got == counts
+    for comp in comps:
+        g = mat_poly_eval(comp.factor, a)
+        assert comp.basis == kernel(g ** (comp.multiplicity // 2))
+        assert tuple(comp.basis._pivots) == rref(comp.basis.basis_matrix()).pivots
 
 
 @pytest.mark.parametrize(

@@ -139,6 +139,53 @@ class TestGcd:
                 assert (a % g).is_zero() and (b % g).is_zero()
 
 
+def _euclid_gcd(a, b):
+    """Oracle: the monic last nonzero remainder of the Euclidean sequence."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+@st.composite
+def _rational_gcd_cases(draw):
+    """(a, b): each a rational scale times a power of t times factors of
+    degree 1 to 3 with 30-digit rational coefficients; some factors are
+    shared, each side raising them to its own multiplicity."""
+    coeff = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30))
+    factors = st.lists(coeff, min_size=2, max_size=4).map(lambda cs: Poly(QQ, cs)).filter(lambda p: p.degree >= 1)
+    shared = draw(st.lists(factors, max_size=3))
+
+    def side():
+        f = Poly(QQ, [draw(coeff.filter(bool))]) * Poly.x(QQ) ** draw(st.integers(0, 2))
+        for g in shared + draw(st.lists(factors, max_size=2)):
+            f = f * g ** draw(st.integers(0, 3))
+        return f
+
+    return side(), side()
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=_rational_gcd_cases())
+def test_rational_gcd_is_that_of_the_euclidean_loop(case):
+    a, b = case
+    assert poly_gcd(a, b) == _euclid_gcd(a, b) == poly_gcd(b, a)
+
+
+def test_a_rational_gcd_takes_no_remainder_sequence(monkeypatch):
+    """gcd(f, f') = 1 and gcd(f^2, f f') = f for the product f of the
+    t - (-1)^k k / (1 + k mod 3), k = 1..64, come from the heuristic gcd, with
+    no polynomial remainder taken."""
+    t = Poly.x(QQ)
+    f = reduce(mul, (t - Poly(QQ, [Fraction((-1) ** k * k, 1 + k % 3)]) for k in range(1, 65)))
+
+    def refused(a, b):
+        raise AssertionError("Poly.__mod__ called")
+
+    monkeypatch.setattr(Poly, "__mod__", refused)
+    assert poly_gcd(f, f.derivative()) == Poly.one(QQ)
+    assert poly_gcd(f * f, f * f.derivative()) == f
+
+
 class TestSquarefree:
     def test_separable_example(self):
         t = Poly.x(QQ)
