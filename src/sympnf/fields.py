@@ -14,17 +14,16 @@ compute on, the codec between them and the elements, and the few scalar and
 row primitives both are written in.  F_p values are residues in [0, p).  An
 extension element starts from its code sum(b_i Q^i) over its base-field raw
 coefficients b_i, Q the order of the base: up to ZECH_MAX_ORDER the raw value
-is the Zech logarithm of the code, from tables built with polynomial products
-modulo the modulus on the first use of the field's ``ops``; above it the raw
-value is the code itself, and the kernels run the base field's kernels on
-whole digit planes.  So every finite field's raw values are ints in
-[0, order).  A QQ raw value is the ``int`` of an integral rational and the
-``Fraction`` in lowest terms of any other (``rational``); the matrix product
-(``matmul``), row scalings and updates (``scale``/``axpy``), the
-characteristic polynomial (``linalg.charpoly``) and row reduction
-(``linalg._reduce``, fraction-free) compute on integer numerators over a
-common denominator and build a ``Fraction`` only for a result that is not
-an integer.  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
+is the Zech logarithm of the code, from tables walked on base-field digits at
+the first use of ``ops``; above it the raw value is the code itself, and the
+kernels run the base field's kernels on whole digit planes.  So every finite
+field's raw values are ints in [0, order).  A QQ raw value is the ``int`` of
+an integral rational and the ``Fraction`` in lowest terms of any other
+(``rational``); the matrix product (``matmul``), row scalings and updates
+(``scale``/``axpy``), the characteristic polynomial (``linalg.charpoly``) and
+row reduction (``linalg._reduce``, fraction-free) compute on integer
+numerators over a common denominator and build a ``Fraction`` only for a
+non-integral result.  Only ``ExtensionField.ops`` reads ZECH_MAX_ORDER.
 
 Extension-field elements never touch their field's ``ops``: at every order a
 product is a polynomial product reduced modulo the modulus and an inverse an
@@ -112,11 +111,11 @@ def is_prime(n: int) -> bool:
 # tuple of row tuples of the dots of each row with each column, the one
 # kernel of a matrix product.
 
-# Building the Zech tables of a field takes time linear in its order (thread
-# time, one build each): F_{3^3} 0.13 ms, F_{9^2} 0.29 ms, F_{5^3} 0.33 ms,
-# F_{9^3} 2.46 ms, F_{101^2} 13.9 ms.  Descent builds a new field for every
-# nonlinear factor of every instance, so above this order the coefficient
-# codes of CoeffOps, which need no tables, are cheaper over a whole instance.
+# Building the Zech tables takes time about linear in the order (thread time,
+# best of 7, first irreducible modulus in code order): F_{3^3} 0.05 ms, F_{9^2}
+# 0.16 ms, F_{5^3} 0.30 ms, F_{9^3} 1.8 ms, F_{101^2} 14 ms.  Descent builds a
+# new field for every nonlinear factor of every instance, so above this order
+# CoeffOps codes, which need no tables, are cheaper over a whole instance.
 ZECH_MAX_ORDER = 1 << 10
 
 
@@ -296,6 +295,8 @@ class _ExtOps(_Ops):
         self.base_ops = field.base.ops
         self.base_order = field.base.order
         self.weights = tuple(self.base_order ** i for i in range(field.degree))
+        # x^k = -(m_0 + ... + m_{k-1} x^{k-1}) modulo m
+        self.low = list(map(self.base_ops.neg, field._mod.raw[:-1]))
 
     def encode(self, x):
         if not (isinstance(x, ExtElement) and (x.field is self.field or x.field == self.field)):
@@ -315,6 +316,21 @@ class _ExtOps(_Ops):
         q = self.base_order
         return [code // w % q for w in self.weights]
 
+    def embed(self, b):
+        """Raw value of the base-field raw value b."""
+        return self._of_code(b)
+
+    def _times(self, col):
+        """Digit lists of c * x^j modulo m, j < k, for col the digit list of c."""
+        axpy = self.base_ops.axpy
+        cols = [col]
+        for _ in range(len(self.weights) - 1):
+            top, col = col[-1], [0] + col[:-1]
+            if top:
+                col = axpy(top, self.low, col)
+            cols.append(col)
+        return cols
+
 
 class ZechOps(_ExtOps):
     """Extension field of order q <= ZECH_MAX_ORDER, in Zech logarithms.
@@ -322,24 +338,54 @@ class ZechOps(_ExtOps):
     For a fixed primitive element g, the nonzero element g^k has raw value
     k + 1 and zero has raw value 0.  A product adds logarithms; a sum is
     g^a + g^b = g^b (1 + g^(a-b)), one lookup in the table of 1 + g^d; an
-    inverse negates the logarithm.
+    inverse negates the logarithm.  exp[k] is the code of g^k, log[code] its
+    raw value, zech[d] the raw value of 1 + g^d (a negative d reads as
+    d + q - 1) and mn[a + b] that of the product of nonzero a and b.  g is
+    the first primitive element in code order (``_walk``), so raw values
+    depend only on (base, modulus) and compare equal across equal fields.
     """
 
     def __init__(self, field):
         super().__init__(field)
-        self.m = field.order - 1
-        self.exp, self.log, self.zech, self.mn = _zech_tables(field._mod)
-        self.minus_one = self.m // 2 + 1  # -1 = g^(m/2)
+        m = self.m = field.order - 1
+        self.exp, self.log = self._walk()
+        # adding 1 changes the constant digit c0 = code % Q only
+        bops, q0 = self.base_ops, self.base_order
+        succ = [bops.add(c0, bops.one) - c0 for c0 in range(q0)]
+        self.zech = array("H", (self.log[code + succ[code % q0]] for code in self.exp))
+        self.mn = array("H", [0, 0, *range(1, m + 1), *range(1, m)])  # (s - 2) % m + 1 at s >= 2
+        self.minus_one = m // 2 + 1  # -1 = g^(m/2)
+
+    def _walk(self):
+        """(exp, log) of the first primitive element g in code order: for each
+        candidate, x <- g x by the digit matrix of g, until x returns to 1.  A
+        candidate whose walk returns before q - 1 steps is not primitive, and
+        neither is any power of it, which its walk entered in log."""
+        dot, weights, q0, m = self.base_ops.dot, self.weights, self.base_order, self.m
+        exp = array("H", [1]) * m  # exp[0] = 1, the code of g^0
+        log = array("H", bytes(2 * (m + 1)))
+        log[1] = 1
+        # codes below Q are base-field constants, of order dividing Q - 1 < q - 1
+        for g in range(q0, m + 1):
+            if log[g]:
+                continue
+            by_g = list(zip(*self._times([g // w % q0 for w in weights])))
+            x = [1] + [0] * (len(weights) - 1)
+            for i in range(1, m):
+                x = [dot(r, x) for r in by_g]
+                code = sum(map(mul, x, weights))
+                if code == 1:
+                    break
+                exp[i] = code
+                log[code] = i + 1
+            else:
+                return exp, log
 
     def _of_code(self, code):
         return self.log[code]
 
     def _code(self, v):
         return self.exp[v - 1] if v else 0
-
-    def embed(self, b):
-        """Raw value of the base-field raw value b."""
-        return self.log[b]
 
     def add(self, a, b):
         if not a:
@@ -404,20 +450,11 @@ class CoeffOps(_ExtOps):
     the digit vectors sum_(i+j=s) dot(plane i, plane j), reduced modulo m.
     Towers recurse through the base field's ``ops``."""
 
-    def __init__(self, field):
-        super().__init__(field)
-        # x^k = -(m_0 + ... + m_{k-1} x^{k-1}) modulo m
-        self.low = list(map(self.base_ops.neg, field._mod.raw[:-1]))
-
     def _of_code(self, code):
         return code
 
     def _code(self, v):
         return v
-
-    def embed(self, b):
-        """Raw value of the base-field raw value b."""
-        return b
 
     def _join(self, digits):
         """Code of a digit list of length k, or of 2k - 1 product digits,
@@ -438,18 +475,6 @@ class CoeffOps(_ExtOps):
         for plane in planes[-2::-1]:
             acc = [a * q + b for a, b in zip(acc, plane)]
         return acc
-
-    def _times(self, c):
-        """Digit lists of c * x^j modulo m, j < k."""
-        axpy = self.base_ops.axpy
-        col = self.coeffs(c)
-        cols = [col]
-        for _ in range(len(self.weights) - 1):
-            top, col = col[-1], [0] + col[:-1]
-            if top:
-                col = axpy(top, self.low, col)
-            cols.append(col)
-        return cols
 
     def _dot_planes(self, xs, ys):
         dot, add = self.base_ops.dot, self.base_ops.add
@@ -479,7 +504,7 @@ class CoeffOps(_ExtOps):
             return list(ys)
         axpy = self.base_ops.axpy
         out = self._planes(ys)
-        for plane, col in zip(self._planes(xs), self._times(c)):
+        for plane, col in zip(self._planes(xs), self._times(self.coeffs(c))):
             for s, m in enumerate(col):
                 if m:
                     out[s] = axpy(m, plane, out[s])
@@ -495,53 +520,6 @@ class CoeffOps(_ExtOps):
         cols = [self._planes(c) for c in cols]
         dot = self._dot_planes
         return tuple(tuple([dot(r, c) for c in cols]) for r in map(self._planes, rows))
-
-
-def _zech_tables(mod):
-    """(exp, log, zech, mn) of base[x]/(mod), for mod a Poly over the base
-    field, of order q = Q^k <= ZECH_MAX_ORDER.
-
-    An element is coded as sum(c_i Q^i) over its base-field raw coefficients
-    c_i in [0, Q).  exp[k] is the code of g^k; log[code] the raw value; zech[d]
-    the raw value of 1 + g^d (a negative d reads as d + q - 1); mn[a + b] the
-    raw value of the product of the nonzero raw values a and b.  g is the
-    first primitive element in code order, so raw values depend only on
-    (base, modulus) and compare equal across equal field objects.  Each field
-    builds its tables once, on first use of its ``ops``.
-    """
-    base = mod.field
-    bops = base.ops
-    k = mod.degree
-    q0 = base.order
-    m = q0 ** k - 1
-    weights = [q0 ** i for i in range(k)]
-    one = Poly.one(base)
-
-    primes = [r for r in range(2, m + 1) if m % r == 0 and is_prime(r)]
-    # codes below q0 are base-field constants, of order dividing q0 - 1 < m
-    for code in range(q0, m + 1):
-        g = Poly.from_raw(base, [code // w % q0 for w in weights])
-        if all(g.pow_mod(m // r, mod) != one for r in primes):
-            break
-    # multiplication by g as a k x k matrix over the base field: column j is x^j g
-    cols = [(Poly.from_raw(base, [bops.zero] * j + [bops.one]) * g % mod).raw for j in range(k)]
-    by_g = list(zip(*(c + (bops.zero,) * (k - len(c)) for c in cols)))
-    exp = array("H", bytes(2 * m))
-    dot = bops.dot
-    x = (bops.one,) + (bops.zero,) * (k - 1)
-    for i in range(m):
-        exp[i] = sum(map(mul, x, weights))
-        x = tuple([dot(r, x) for r in by_g])
-    log = array("H", bytes(2 * (m + 1)))
-    for i, code in enumerate(exp):
-        log[code] = i + 1
-    # adding 1 changes the constant coefficient c0 = code % q0 only
-    succ = [bops.add(c0, bops.one) - c0 for c0 in range(q0)]
-    zech = array("H", (log[code + succ[code % q0]] for code in exp))
-    mn = array("H", [0, 0])  # mn[s] = (s - 2) % m + 1 for s = 2 .. 2m
-    mn.extend(range(1, m + 1))
-    mn.extend(range(1, m))
-    return exp, log, zech, mn
 
 
 # --- rationals -------------------------------------------------------------

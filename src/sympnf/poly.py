@@ -504,9 +504,7 @@ def _rational_roots(f: Poly) -> list:
     if f.degree < 1:
         return roots
     # primitive integer form
-    ints, _ = field.ops.clear(f.raw)
-    g = math.gcd(*ints)
-    ints = [c // g for c in ints]
+    ints = _primitive(field.ops.clear(f.raw)[0])
     c0, lc = ints[0], ints[-1]
     p = 3
     while True:

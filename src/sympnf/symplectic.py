@@ -59,7 +59,8 @@ class SymplecticSpace:
 
 def _omega_times(m: Mat) -> Mat:
     """O m: the bottom half of the rows of m over the negated top half.  A zero
-    is kept as it is, since -0 = 0: over QQ negating it makes a new Fraction."""
+    is kept as it is, since -0 = 0: ``CoeffOps.neg`` builds digit lists even
+    for a zero."""
     n = m.nrows // 2
     neg = m.field.ops.neg
     top = tuple(tuple([neg(x) if x else x for x in r]) for r in m.raw[:n])

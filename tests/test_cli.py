@@ -324,6 +324,18 @@ class TestCliExitCodes:
         flag = "prime:3317044064679887385961981"
         assert main(["random", "--field", flag, "--spec", "1:[1]"]) == EXIT_PARSE
 
+    @pytest.mark.parametrize("out", ["missing-dir/c.json", "."], ids=["under-a-missing-dir", "a-directory"])
+    def test_an_output_that_cannot_be_written_exits_3(self, tmp_path, capsys, out):
+        out = str(tmp_path / out)
+        inst = str(tmp_path / "inst.json")
+        assert main(["random", "--field", "prime:5", "--spec", "1:[1]", "-o", inst]) == EXIT_OK
+        capsys.readouterr()
+        for args in (["normal-form", inst], ["random", "--field", "prime:5", "--spec", "1:[1]"]):
+            assert main(args + ["-o", out]) == EXIT_PARSE
+            err = capsys.readouterr().err
+            assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+            assert "Traceback" not in err
+
 
 class TestFieldOrderBound:
     """An extension descriptor of order 2^64 or more is refused before the

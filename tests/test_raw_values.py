@@ -272,6 +272,37 @@ def test_zech_tables_round_trip(field):
     assert ops.decode(ops.mul(g, g)) == field.gen * field.gen
 
 
+F27 = make_field("extension", p=3, modulus=[1, 2, 0, 1])  # t^3 + 2t + 1
+F625 = make_field("extension", p=5, modulus=[2, 0, 0, 0, 1])  # t^4 + 2
+
+
+@pytest.mark.parametrize("field", [F27, F81, F625, F729], ids=["F27", "F81", "F625", "F729"])
+def test_zech_generator_is_the_first_primitive_element_in_code_order(field, monkeypatch):
+    """The tables are built on base-field digits, with no polynomial
+    arithmetic, and their generator is the first element of code Q or more
+    whose order, computed with element powers, is q - 1: that choice fixes
+    every Zech raw value, and so every certificate byte."""
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic while building Zech tables")
+
+    with monkeypatch.context() as patch:
+        for name in ("__mul__", "divmod", "pow_mod"):
+            patch.setattr(Poly, name, refuse)
+        ops = ZechOps(field)
+    m = field.order - 1
+    primes = [r for r in range(2, m + 1) if m % r == 0 and all(r % d for d in range(2, r))]
+    for code in range(field.base.order, m + 1):
+        g = _element_of_code(field, code)
+        if all(g ** (m // r) != field.one for r in primes):
+            break
+    x = field.one
+    for k in range(m):
+        assert ops.decode(k + 1) == x  # x = g ** k
+        x = x * g
+    assert x == field.one
+
+
 def test_equal_extensions_have_equal_raw_values():
     for field in (F729, F101_2):  # in Zech logarithms and in coefficient codes
         twin = ExtensionField(field.base, field.modulus)
